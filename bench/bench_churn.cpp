@@ -72,46 +72,6 @@ void BM_Churn_Storm(benchmark::State& state) {
 BENCHMARK(BM_Churn_Storm)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void BM_Churn_CrashHeal(benchmark::State& state) {
-  // Crash-stop (no neighbour detection) healed by the failure-detector
-  // extension: rounds from a crash to the restored ring, vs n.  The
-  // baseline "leave" rows above get detection for free; this measures the
-  // extra latency the timeout costs.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  double rounds_sum = 0, healed = 0;
-  constexpr int kTrials = 4;
-  constexpr std::uint32_t kTimeout = 8;
-  obs::Registry merged;  // per-trial registries fold in, in trial order
-  for (auto _ : state) {
-    rounds_sum = healed = 0;
-    merged.reset();
-    for (int trial = 0; trial < kTrials; ++trial) {
-      const std::uint64_t seed = bench::kBaseSeed + n + trial;
-      core::Config config;
-      config.failure_timeout = kTimeout;
-      core::SmallWorldNetwork network = bench::stabilized(n, seed, 4 * n, config);
-      obs::Registry registry;
-      network.attach_metrics(registry);  // healing phase only (post-burn-in)
-      util::Rng rng(seed ^ 0x63726173ull);
-      const auto ids = network.engine().id_span();
-      network.crash(ids[rng.below(ids.size())]);
-      const auto rounds = network.run_until_sorted_ring(400 * n + 4000);
-      if (rounds.has_value()) {
-        healed += 1.0;
-        rounds_sum += static_cast<double>(*rounds);
-      }
-      merged.merge(registry);
-    }
-  }
-  state.counters["rounds_mean"] = healed > 0 ? rounds_sum / healed : -1.0;
-  state.counters["healed"] = healed / kTrials;
-  state.counters["timeout"] = kTimeout;
-  state.counters["n"] = static_cast<double>(n);
-  bench::report_registry(state, merged);
-}
-BENCHMARK(BM_Churn_CrashHeal)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void BM_Churn_LeaveVsCrash(benchmark::State& state) {
   // ISSUE 5 satellite: same stabilized network, same victim — repair rounds
   // for a detected leave() (the paper's §IV.G fail-stop, neighbours learn

@@ -678,7 +678,6 @@ std::string to_json(const FuzzRepro& repro) {
   boolean("probing_enabled", c.protocol.probing_enabled);
   boolean("move_and_forget_enabled", c.protocol.move_and_forget_enabled);
   num("lrl_count", c.protocol.lrl_count);
-  num("failure_timeout", c.protocol.failure_timeout);
   num("message_loss", c.message_loss);
   num("crash_frac", c.crash_frac);
   num("crash_round", c.crash_round);
@@ -775,7 +774,6 @@ std::optional<FuzzRepro> parse_repro(const std::string& json) {
     else if (k == "move_and_forget_enabled")
       ok = parse_bool(v, c.protocol.move_and_forget_enabled);
     else if (k == "lrl_count") ok = parse_int(v, c.protocol.lrl_count);
-    else if (k == "failure_timeout") ok = parse_int(v, c.protocol.failure_timeout);
     else if (k == "message_loss") ok = parse_double(v, c.message_loss);
     else if (k == "crash_frac") ok = parse_double(v, c.crash_frac);
     else if (k == "crash_round") ok = parse_int(v, c.crash_round);

@@ -86,10 +86,9 @@ class SmallWorldNetwork {
 
   /// Crash-stop: the node vanishes but survivors keep their stale pointers
   /// and stale in-flight messages survive.  Recovery requires a failure
-  /// detector — the active probe/ack one (Config::detector.enabled, which
-  /// evicts the dead id, quarantines it and re-links the gap) or the legacy
-  /// passive one (Config::failure_timeout > 0).  With both disabled the gap
-  /// can wedge forever, which is why the paper assumes detected leaves
+  /// detector (Config::detector.enabled), which evicts the dead id,
+  /// quarantines it and re-links the gap.  With it disabled the gap can
+  /// wedge forever, which is why the paper assumes detected leaves
   /// (tests/test_crash_recovery.cpp pins that wedge).
   bool crash(sim::Id id);
 

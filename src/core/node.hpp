@@ -189,24 +189,13 @@ class SmallWorldNode final : public sim::Process {
   /// ("resetting them over time", §III).
   void tidy_ring() noexcept;
 
-  /// Failure-detector bookkeeping (active only when config.failure_timeout
-  /// > 0): ticks silence counters each regular action and clears pointers
-  /// whose heartbeat timed out.
-  void tick_failure_detector();
-
-  /// Quarantines an identifier the detector just dropped: a crashed node's
-  /// id spreads epidemically (it is served in reslrl responses, adopted as
-  /// lrl targets, probed toward, and stalled probes linearize it back into
-  /// l/r) — faster than per-pointer timeouts can cull it.  While an id is
-  /// suspected, this node refuses to re-adopt it anywhere.
-  void suspect(sim::Id id);
-  bool is_suspected(sim::Id id) const noexcept;
-
-  /// Unified dead-id filter for the adoption/spread sites: true if `id` is
-  /// quarantined by either detector (the legacy silence-based one above or
-  /// the active probe/ack detector) or suspected by the active detector's
-  /// missed-ack state.  Counts node.detector.quarantine.hits when the
-  /// active detector is the reason.
+  /// Dead-id filter for the adoption/spread sites: true if the failure
+  /// detector has `id` quarantined (recently evicted) or suspected
+  /// (missed acks).  A crashed node's id spreads epidemically — it is served
+  /// in reslrl responses, adopted as lrl targets, probed toward, and stalled
+  /// probes linearize it back into l/r — so this node refuses to re-adopt
+  /// it anywhere while the detector holds it.  Always false with the
+  /// detector disabled.  Counts node.detector.quarantine.hits.
   bool is_dead(sim::Id id) const noexcept;
 
   /// Applies one detector eviction: purges `target` from every pointer slot
@@ -273,15 +262,6 @@ class SmallWorldNode final : public sim::Process {
   NodeMetrics* metrics_ = nullptr;           ///< optional shared sink; never owned
   InvariantTracker* tracker_ = nullptr;      ///< optional, never owned
   std::uint32_t probe_countdown_ = 0;
-  // Regular actions since the last heartbeat from each stored pointer.
-  std::uint32_t silence_l_ = 0;
-  std::uint32_t silence_r_ = 0;
-  std::uint32_t silence_ring_ = 0;
-  // Suspicion list: ids dropped for silence, quarantined until the tick in
-  // .second.  Small and bounded (kMaxSuspects, FIFO eviction).
-  static constexpr std::size_t kMaxSuspects = 8;
-  std::uint64_t detector_ticks_ = 0;
-  std::vector<std::pair<sim::Id, std::uint64_t>> suspects_;
   // Active probe/ack failure detector (config.detector) — null unless
   // enabled, so the disabled configuration allocates nothing, arms no timer
   // and keeps the send path byte-identical to the detector-less build.

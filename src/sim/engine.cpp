@@ -226,8 +226,8 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   // The injector decides the fate of this send; the engine keeps all the
   // channel and counter bookkeeping.  Duplicates and replays are channel
   // artefacts, not protocol sends: they skip the sent counter and the send
-  // hooks, so a trace shows what the protocol did, not what the adversary
-  // fabricated.
+  // hooks, so a send capture shows what the protocol did, not what the
+  // adversary fabricated.
   const FaultInjector::SendDecision decision = faults_->on_send(
       sender.process->id(), to, message, counters_.rounds + 1, sender.rng);
   if (decision.duplicated) {
@@ -267,7 +267,6 @@ void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message)
   ++counters_.actions;
   if (metrics_.delivered) metrics_.delivered->add();
   if (metrics_.actions) metrics_.actions->add();
-  for (const auto& [id, hook] : delivery_hooks_) hook(slot.process->id(), message);
   Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
   slot.process->on_message(ctx, message);
 }
@@ -278,9 +277,6 @@ void Engine::deliver_buffered(Slot& slot, std::size_t slot_index,
   ++lane.actions;
   if (metrics_.delivered) metrics_.delivered->add();
   if (metrics_.actions) metrics_.actions->add();
-  // A registered delivery hook forces effective_lanes() to 1, so this loop
-  // only ever runs sequentially, in canonical rank order.
-  for (const auto& [id, hook] : delivery_hooks_) hook(slot.process->id(), message);
   Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &lane);
   slot.process->on_message(ctx, message);
 }
@@ -298,7 +294,6 @@ void Engine::finish_round() {
 }
 
 std::size_t Engine::effective_lanes(std::size_t n) const noexcept {
-  if (!delivery_hooks_.empty()) return 1;
   return std::min(config_.shards, n);
 }
 
@@ -547,15 +542,7 @@ bool remove_hook(std::vector<std::pair<Engine::HookId, Hook>>& hooks,
 
 }  // namespace
 
-Engine::HookId Engine::add_delivery_hook(DeliveryHook hook) {
-  return add_hook(delivery_hooks_, next_hook_id_, std::move(hook));
-}
-
-bool Engine::remove_delivery_hook(HookId id) noexcept {
-  return remove_hook(delivery_hooks_, id);
-}
-
-Engine::HookId Engine::add_send_hook(DeliveryHook hook) {
+Engine::HookId Engine::add_send_hook(SendHook hook) {
   return add_hook(send_hooks_, next_hook_id_, std::move(hook));
 }
 

@@ -292,25 +292,19 @@ class Engine {
 
   // --- observation hooks ------------------------------------------------
   // Hooks are *chained*: any number of observers may attach concurrently
-  // (a Trace, the metrics layer, a test capture) and each receives every
-  // event.  add returns a token for targeted removal, so detaching one
-  // observer never silently disables another.
+  // (a lookup manager, a snapshotter, a test capture) and each receives
+  // every event.  add returns a token for targeted removal, so detaching
+  // one observer never silently disables another.
   //
   // Threading: send and round hooks always fire from the sequential merge /
-  // epilogue.  A registered delivery hook forces rounds onto a single lane
-  // (sequential, canonical order) — observation keeps exact event order at
-  // the cost of parallelism, and the trajectory is unchanged either way.
-  using DeliveryHook = std::function<void(Id to, const Message&)>;
+  // epilogue, so observing never constrains the lane count.
+  using SendHook = std::function<void(Id to, const Message&)>;
   using RoundHook = std::function<void(std::uint64_t round)>;
   using HookId = std::uint64_t;
 
-  /// Observer invoked on every delivery (for traces/tests).
-  HookId add_delivery_hook(DeliveryHook hook);
-  bool remove_delivery_hook(HookId id) noexcept;
-
-  /// Observer invoked on every send, before loss/routing (for traces and
-  /// the conformance tests' send capture).
-  HookId add_send_hook(DeliveryHook hook);
+  /// Observer invoked on every send, before loss/routing (the conformance
+  /// tests' send capture).
+  HookId add_send_hook(SendHook hook);
   bool remove_send_hook(HookId id) noexcept;
 
   /// Observer invoked at the end of every round with the new round number
@@ -389,8 +383,7 @@ class Engine {
   void finish_round();
   /// Applies every lane's buffered effects in lane order (sequential).
   void merge_lanes(std::size_t lanes);
-  /// Lanes for a round over `n` processes: config shards, capped by n, and
-  /// forced to 1 while a delivery hook wants exact sequential observation.
+  /// Lanes for a round over `n` processes: config shards, capped by n.
   std::size_t effective_lanes(std::size_t n) const noexcept;
   /// Lazily rebuilds the pending-by-rank Fenwick index (async scheduler
   /// only) after membership changes invalidated it.
@@ -434,8 +427,7 @@ class Engine {
   EngineCounters counters_;
   Metrics metrics_;
   HookId next_hook_id_ = 1;
-  std::vector<std::pair<HookId, DeliveryHook>> delivery_hooks_;
-  std::vector<std::pair<HookId, DeliveryHook>> send_hooks_;
+  std::vector<std::pair<HookId, SendHook>> send_hooks_;
   std::vector<std::pair<HookId, RoundHook>> round_hooks_;
   std::vector<std::vector<Message>> arrivals_;  // per-slot round snapshots
   struct Timer {

@@ -1,9 +1,10 @@
 // Tests for the active failure detector (core/detector) and crash recovery:
 // the detector's unit-level state machine, the baseline wedge that motivates
-// it (ISSUE 5's regression satellite), the headline property — 10% of nodes
-// crashing mid-stabilization under 5% message loss re-converges to the
-// sorted ring over survivors on every scheduler, deterministically — and the
-// bit-identical-baseline contract with the detector off.
+// it, crash-healing scenarios (scattered, adjacent and repeated crashes,
+// dead lrl endpoints, an epidemic of the dead id), the headline property —
+// 10% of nodes crashing mid-stabilization under 5% message loss re-converges
+// to the sorted ring over survivors on every scheduler, deterministically —
+// and the bit-identical-baseline contract with the detector off.
 #include "core/detector.hpp"
 
 #include <gtest/gtest.h>
@@ -126,6 +127,22 @@ TEST(FailureDetector, QuarantineIsBoundedFifoWithRefresh) {
   EXPECT_TRUE(det.is_quarantined(0.2, t3));
   EXPECT_TRUE(det.is_quarantined(0.3, t3));
   EXPECT_EQ(det.quarantined_count(t3), 2u);
+}
+
+TEST(FailureDetector, QuarantineExpiresAfterQuarantineRounds) {
+  DetectorConfig d = small_config();
+  d.quarantine_rounds = 37;  // not a multiple of probe_period
+  FailureDetector det(0.5, d, 1);
+  std::uint64_t now = 4;
+  for (; det.evictions().empty(); now += 4) {
+    ASSERT_LE(now, 60u) << "eviction never happened";
+    tick_one(det, now, 0.3);
+  }
+  const std::uint64_t evicted = now - 4;
+  EXPECT_TRUE(det.is_quarantined(0.3, evicted + d.quarantine_rounds - 1));
+  EXPECT_EQ(det.quarantined_count(evicted + d.quarantine_rounds - 1), 1u);
+  EXPECT_FALSE(det.is_quarantined(0.3, evicted + d.quarantine_rounds));
+  EXPECT_EQ(det.quarantined_count(evicted + d.quarantine_rounds), 0u);
 }
 
 // --- the baseline wedge (regression satellite) -----------------------------
@@ -277,6 +294,134 @@ TEST(CrashRecovery, QuarantineBlocksStaleReintroduction) {
   net.engine().inject(witness, sim::Message{kLin, dead});
   net.run_rounds(4);
   EXPECT_NE(net.node(witness)->r(), dead);
+}
+
+// --- crash healing scenarios ----------------------------------------------
+
+SmallWorldNetwork detector_network(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  NetworkOptions options;
+  options.seed = seed;
+  options.protocol.detector.enabled = true;
+  SmallWorldNetwork net = make_stable_ring(random_ids(n, rng), options);
+  net.run_rounds(4 * n);  // spread lrls; also proves live links survive
+  return net;
+}
+
+TEST(FailureDetector, StableRingSurvivesWithDetectorOn) {
+  // The detector must never evict a live link: pongs answer every probe,
+  // so a long run leaves the ring intact.
+  SmallWorldNetwork net = detector_network(32, 1);
+  EXPECT_TRUE(net.sorted_ring());
+  net.run_rounds(200);
+  EXPECT_TRUE(net.sorted_ring());
+}
+
+TEST(FailureDetector, CrashWithDetectorHeals) {
+  SmallWorldNetwork net = detector_network(32, 3);
+  const auto ids = net.engine().id_span();
+  ASSERT_TRUE(net.crash(ids[10]));
+  const auto rounds = net.run_until_sorted_ring(20000);
+  ASSERT_TRUE(rounds.has_value());
+  // Healing time ≈ detection latency + polylog repair, far below O(n) rounds.
+  EXPECT_LT(*rounds, 500u);
+  EXPECT_EQ(net.size(), 31u);
+}
+
+TEST(FailureDetector, CrashOfMaxHeals) {
+  SmallWorldNetwork net = detector_network(24, 4);
+  const auto ids = net.engine().id_span();
+  ASSERT_TRUE(net.crash(ids.back()));
+  ASSERT_TRUE(net.run_until_sorted_ring(20000).has_value());
+  const auto survivors = net.engine().id_span();
+  EXPECT_DOUBLE_EQ(net.node(survivors.front())->ring(), survivors.back());
+  EXPECT_DOUBLE_EQ(net.node(survivors.back())->ring(), survivors.front());
+}
+
+TEST(FailureDetector, MultipleSimultaneousCrashesHeal) {
+  SmallWorldNetwork net = detector_network(48, 5);
+  const std::vector<Id> ids(net.engine().id_span().begin(),
+                            net.engine().id_span().end());
+  // Crash three scattered, non-adjacent nodes at once.
+  ASSERT_TRUE(net.crash(ids[5]));
+  ASSERT_TRUE(net.crash(ids[20]));
+  ASSERT_TRUE(net.crash(ids[35]));
+  ASSERT_TRUE(net.run_until_sorted_ring(40000).has_value());
+  EXPECT_EQ(net.size(), 45u);
+}
+
+TEST(FailureDetector, AdjacentCrashesHeal) {
+  // A whole segment of the ring disappears: the survivors' pointers all
+  // dangle into the hole.
+  SmallWorldNetwork net = detector_network(32, 6);
+  const std::vector<Id> ids(net.engine().id_span().begin(),
+                            net.engine().id_span().end());
+  ASSERT_TRUE(net.crash(ids[10]));
+  ASSERT_TRUE(net.crash(ids[11]));
+  ASSERT_TRUE(net.crash(ids[12]));
+  ASSERT_TRUE(net.run_until_sorted_ring(40000).has_value());
+  EXPECT_DOUBLE_EQ(net.node(ids[9])->r(), ids[13]);
+}
+
+TEST(FailureDetector, LrlPointingAtCrashedNodeRecovers) {
+  SmallWorldNetwork net = detector_network(24, 7);
+  const std::vector<Id> ids(net.engine().id_span().begin(),
+                            net.engine().id_span().end());
+  // Force several lrls onto the victim, then crash it.
+  net.node(ids[2])->set_lrl(ids[15]);
+  net.node(ids[20])->set_lrl(ids[15]);
+  ASSERT_TRUE(net.crash(ids[15]));
+  ASSERT_TRUE(net.run_until_sorted_ring(20000).has_value());
+  // The dead endpoints were evicted; the links move again afterwards.
+  net.run_rounds(50);
+  EXPECT_NE(net.node(ids[2])->lrl(), ids[15]);
+  EXPECT_NE(net.node(ids[20])->lrl(), ids[15]);
+}
+
+TEST(FailureDetector, ConvergenceFromScratchStillWorks) {
+  // The detector must not prevent ordinary stabilization: pointers that are
+  // merely not-yet-reciprocated may be evicted and re-learned, but the
+  // computation still reaches the ring.
+  util::Rng rng(8);
+  NetworkOptions options;
+  options.seed = 8;
+  options.protocol.detector.enabled = true;
+  SmallWorldNetwork net(options);
+  auto ids = random_ids(48, rng);
+  net.add_nodes(topology::make_initial_state(topology::InitialShape::kRandomChain,
+                                             std::move(ids), rng));
+  EXPECT_TRUE(net.run_until_sorted_ring(40000).has_value());
+}
+
+TEST(FailureDetector, CrashEpidemicIsContained) {
+  // A crashed node's id circulates epidemically (reslrl candidates → lrl
+  // adoptions → probes → stalled-probe linearize) and would re-poison the
+  // gap faster than per-pointer evictions cull it.  With quarantine, a
+  // crash plus a full lrl scramble heals.
+  SmallWorldNetwork net = detector_network(40, 11);
+  util::Rng rng(11);
+  const auto ids = net.engine().id_span();
+  const Id victim = ids[ids.size() / 2];
+  // Point several lrls at the victim, then crash it mid-activity.
+  for (int i = 0; i < 8; ++i)
+    net.node(ids[rng.below(ids.size())])->set_lrl(victim);
+  ASSERT_TRUE(net.crash(victim));
+  net.run_rounds(3);  // let the dead id spread a little
+  ASSERT_TRUE(net.run_until_sorted_ring(40000).has_value());
+  net.run_rounds(100);
+  EXPECT_TRUE(net.run_until_sorted_ring(2000).has_value());
+}
+
+TEST(FailureDetector, ChurnStormOfCrashesHeals) {
+  SmallWorldNetwork net = detector_network(48, 9);
+  util::Rng rng(9);
+  for (int wave = 0; wave < 4; ++wave) {
+    const auto ids = net.engine().id_span();
+    ASSERT_TRUE(net.crash(ids[rng.below(ids.size())]));
+    net.run_rounds(16);  // next crash before full recovery
+  }
+  EXPECT_TRUE(net.run_until_sorted_ring(40000).has_value());
+  EXPECT_EQ(net.size(), 44u);
 }
 
 // --- detector-off baseline stays silent ------------------------------------

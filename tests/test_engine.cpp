@@ -237,43 +237,30 @@ TEST(Engine, RemoveProcessPurgesReferences) {
   EXPECT_EQ(engine.pending_messages(), 1u);   // only the unrelated one left
 }
 
-TEST(Engine, DeliveryHookObservesMessages) {
-  Engine engine = make_engine();
-  engine.add_process(std::make_unique<Sender>(0.1, 0.9));
-  engine.add_process(std::make_unique<Probe>(0.9));
-  int observed = 0;
-  engine.add_delivery_hook([&](Id to, const Message& m) {
-    EXPECT_DOUBLE_EQ(to, 0.9);
-    EXPECT_EQ(m.type, 2);
-    ++observed;
-  });
-  engine.run_rounds(3);
-  EXPECT_EQ(observed, 2);
-}
-
 TEST(Engine, HooksChainAndRemoveIndividually) {
   Engine engine = make_engine();
   engine.add_process(std::make_unique<Sender>(0.1, 0.9));
   engine.add_process(std::make_unique<Probe>(0.9));
-  int first = 0, second = 0, sends = 0, rounds = 0;
-  const auto first_id =
-      engine.add_delivery_hook([&](Id, const Message&) { ++first; });
-  engine.add_delivery_hook([&](Id, const Message&) { ++second; });
-  engine.add_send_hook([&](Id, const Message&) { ++sends; });
+  int first = 0, second = 0, rounds = 0;
+  const auto first_id = engine.add_send_hook([&](Id to, const Message& m) {
+    EXPECT_DOUBLE_EQ(to, 0.9);
+    EXPECT_EQ(m.type, 2);
+    ++first;
+  });
+  engine.add_send_hook([&](Id, const Message&) { ++second; });
   engine.add_round_hook([&](std::uint64_t) { ++rounds; });
   engine.run_rounds(3);
-  // Sender emits once per round; each message lands the following round, so
-  // 3 rounds = 3 sends but only 2 deliveries.
-  EXPECT_EQ(first, 2);   // both delivery observers saw both deliveries
-  EXPECT_EQ(second, 2);
-  EXPECT_EQ(sends, 3);
+  // Sender emits once per round: both send observers saw all 3 sends.
+  EXPECT_EQ(first, 3);
+  EXPECT_EQ(second, 3);
   EXPECT_EQ(rounds, 3);
   // Removing one hook leaves the others live.
-  EXPECT_TRUE(engine.remove_delivery_hook(first_id));
-  EXPECT_FALSE(engine.remove_delivery_hook(first_id));  // already gone
+  EXPECT_TRUE(engine.remove_send_hook(first_id));
+  EXPECT_FALSE(engine.remove_send_hook(first_id));  // already gone
   engine.run_rounds(3);
-  EXPECT_EQ(first, 2);
-  EXPECT_EQ(second, 5);
+  EXPECT_EQ(first, 3);
+  EXPECT_EQ(second, 6);
+  EXPECT_EQ(rounds, 6);
 }
 
 TEST(Engine, RoundHookSeesRoundNumber) {

@@ -25,7 +25,6 @@ TEST(NodeStore, AcquireHandsOutNeutralState) {
   for (const LongRangeLink& link : store.lrls(slot)) {
     EXPECT_EQ(link.target, 0.0);
     EXPECT_EQ(link.age, 0u);
-    EXPECT_EQ(link.silence, 0u);
   }
 }
 
@@ -35,7 +34,7 @@ TEST(NodeStore, ReleasedSlotIsRecycledAndReset) {
   const std::size_t first = store.acquire();
   store.l(first) = 0.25;
   store.forgets(first) = 7;
-  store.lrls(first)[0] = LongRangeLink{0.5, 3, 1};
+  store.lrls(first)[0] = LongRangeLink{0.5, 3};
   store.release(first);
 
   // LIFO recycling: the very next acquire reuses the slot, scrubbed.
@@ -44,6 +43,7 @@ TEST(NodeStore, ReleasedSlotIsRecycledAndReset) {
   EXPECT_EQ(store.l(again), sim::kNegInf);
   EXPECT_EQ(store.forgets(again), 0u);
   EXPECT_EQ(store.lrls(again)[0].target, 0.0);
+  EXPECT_EQ(store.lrls(again)[0].age, 0u);
 }
 
 TEST(NodeStore, LrlSpansAreStridedAndDisjoint) {

@@ -11,7 +11,7 @@
 //   until-ring [MAX]    run until Def. 4.17 holds (default budget 100000)
 //   join ID CONTACT     join a new node knowing one contact
 //   leave ID            fail-stop leave (with neighbour detection)
-//   crash ID            crash-stop (no detection; needs failure_timeout)
+//   crash ID            crash-stop (heals only with --failure-detector)
 //   inject TO TYPE ID1 [ID2]   put a message into TO's channel
 //   status              one-line phase/size/round/message summary
 //   nodes               dump every node's (l, r, lrl, ring, age)
@@ -281,11 +281,6 @@ int main(int argc, char** argv) {
   options.adversary_delay = static_cast<std::uint32_t>(adversary_delay);
   options.message_loss = message_loss;
   options.shards = static_cast<std::size_t>(shards);
-  // Crash-stop works out of the box: the legacy passive detector by default,
-  // or the active probe/ack detector when requested.  Never both — a passive
-  // reset clears the stale pointer before the active detector's eviction,
-  // which kills the re-link through the dead node's last reported view.
-  options.protocol.failure_timeout = failure_detector ? 0 : 16;
   options.protocol.detector.enabled = failure_detector;
   options.protocol.detector.probe_period =
       static_cast<std::uint32_t>(probe_period);

@@ -36,7 +36,9 @@ BENCHMARK(BM_Engine_StableRound)->Arg(100)->Arg(1000)->Arg(10000)
 // per atomic action (full pending recount + linear channel walk); with the
 // Fenwick-indexed hot path it pays O(log n), which is what this series pins.
 // An async "round" is capped at a fixed action budget so one iteration stays
-// comparable across n.
+// comparable across n.  Worker lanes run on pool threads, so the clocks are
+// wall time (items/s is actions per wall-clock second) and process CPU time
+// (every lane's CPU, not only the main thread's).
 void BM_Engine_ActionThroughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kind = static_cast<sim::SchedulerKind>(state.range(1));
@@ -64,6 +66,8 @@ BENCHMARK(BM_Engine_ActionThroughput)
                     static_cast<int>(sim::SchedulerKind::kAdversarialLifo),
                     static_cast<int>(sim::SchedulerKind::kDelayedRandom)},
                    {1, 4}})
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Million-node headline run (the sharded-engine PR's acceptance bar): build
@@ -112,6 +116,9 @@ void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_MillionNodeRecovery)
     ->Args({1000000, 1})
+    ->Args({1000000, 4})
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kSecond)->Iterations(1);
 
 void BM_Channel_PushDrain(benchmark::State& state) {

@@ -1,7 +1,8 @@
 #include "core/invariant_tracker.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <cmath>
+#include <limits>
 
 #include "core/node.hpp"
 #include "sim/engine.hpp"
@@ -12,6 +13,18 @@ namespace sssw::core {
 using sim::Id;
 using sim::kNegInf;
 using sim::kPosInf;
+
+namespace {
+
+/// Mirror value of an untracked slot: compares unequal to every id.
+constexpr Id kNoTarget = std::numeric_limits<Id>::quiet_NaN();
+
+constexpr auto kRelaxed = std::memory_order_relaxed;
+
+}  // namespace
+
+InvariantTracker::InvariantTracker(std::size_t lrl_count)
+    : lrl_count_(lrl_count) {}
 
 // --- helpers ---------------------------------------------------------------
 
@@ -33,154 +46,140 @@ bool InvariantTracker::pair_ok_for(const SmallWorldNode& node,
   return node.l() == want_l && node.r() == want_r;
 }
 
-void InvariantTracker::reseed_pair(Id id) {
-  Entry& e = entries_.at(id);
-  const bool ok = pair_ok_for(*e.node, rank_of(id));
-  if (ok != e.pair_ok) {
-    e.pair_ok = ok;
-    if (ok) {
-      ++sorted_pairs_;
-    } else {
-      --sorted_pairs_;
-    }
+void InvariantTracker::reseed_pair(std::size_t rank) {
+  Entry& e = entries_[slot_by_rank_[rank]];
+  const bool ok = pair_ok_for(*e.node, rank);
+  if (ok == e.pair_ok) return;
+  e.pair_ok = ok;
+  if (ok) {
+    sorted_pairs_.fetch_add(1, kRelaxed);
+  } else {
+    sorted_pairs_.fetch_sub(1, kRelaxed);
   }
 }
 
-void InvariantTracker::unref(Id target, Id holder) {
-  const auto it = refs_.find(target);
-  SSSW_DCHECK(it != refs_.end());
-  std::vector<Id>& holders = it->second;
-  for (Id& h : holders) {
-    if (h == holder) {
-      h = holders.back();
-      holders.pop_back();
-      if (holders.empty()) refs_.erase(it);
-      return;
-    }
+void InvariantTracker::strand(Id target, int delta) {
+  const std::lock_guard<std::mutex> lock(stranded_mutex_);
+  if (delta > 0) {
+    ++stranded_[target];
+    unresolved_links_.fetch_add(1, kRelaxed);
+    return;
   }
-  SSSW_DCHECK(false && "unref: holder not found");
+  const auto it = stranded_.find(target);
+  SSSW_DCHECK(it != stranded_.end());
+  if (--it->second == 0) stranded_.erase(it);
+  unresolved_links_.fetch_sub(1, kRelaxed);
 }
 
 // --- membership ------------------------------------------------------------
 
 void InvariantTracker::on_add(const SmallWorldNode& node) {
   const Id id = node.id();
+  const std::size_t slot = node.store_slot();
   const std::size_t rank = rank_of(id);
   SSSW_DCHECK(rank == sorted_ids_.size() || sorted_ids_[rank] != id);
   sorted_ids_.insert(sorted_ids_.begin() + static_cast<std::ptrdiff_t>(rank),
                      id);
-
-  // Links that were stranded at this id now resolve.
-  if (const auto it = refs_.find(id); it != refs_.end()) {
-    for (const Id holder : it->second) {
-      Entry& h = entries_.at(holder);
-      SSSW_DCHECK(h.unresolved > 0);
-      --h.unresolved;
-      --unresolved_links_;
-    }
+  slot_by_rank_.insert(
+      slot_by_rank_.begin() + static_cast<std::ptrdiff_t>(rank), slot);
+  if (slot >= entries_.size()) {
+    entries_.resize(slot + 1);
+    targets_.resize((slot + 1) * lrl_count_, kNoTarget);
   }
 
-  Entry e;
+  // Links that were stranded at this id now resolve.
+  if (const auto it = stranded_.find(id); it != stranded_.end()) {
+    unresolved_links_.fetch_sub(it->second, kRelaxed);
+    stranded_.erase(it);
+  }
+
+  Entry& e = entries_[slot];
+  SSSW_DCHECK(e.node == nullptr);
   e.node = &node;
   e.pair_ok = pair_ok_for(node, rank);
-  if (e.pair_ok) ++sorted_pairs_;
+  if (e.pair_ok) sorted_pairs_.fetch_add(1, kRelaxed);
   e.forgot = node.forget_count() > 0;
-  if (e.forgot) ++forgot_nodes_;
+  if (e.forgot) forgot_nodes_.fetch_add(1, kRelaxed);
   // A joiner's epoch baseline is 0 (the old run_until_small_world oracle
   // gave unknown nodes `before = 0`), so it is already fresh iff it has
   // ever forgotten.
   e.forget_baseline = 0;
-  e.epoch_counted = node.forget_count() > 0;
-  if (e.epoch_counted) ++epoch_fresh_;
-  e.targets.reserve(node.lrls().size());
-  for (const SmallWorldNode::LongRangeLink& link : node.lrls()) {
-    e.targets.push_back(link.target);
-    refs_[link.target].push_back(id);
-    if (!contains(link.target)) {
-      ++e.unresolved;
-      ++unresolved_links_;
-    }
+  e.epoch_counted = e.forgot;
+  if (e.epoch_counted) epoch_fresh_.fetch_add(1, kRelaxed);
+  const std::span<Id> mirror = targets(slot);
+  for (std::size_t k = 0; k < lrl_count_; ++k) {
+    mirror[k] = node.lrls()[k].target;
+    if (!contains(mirror[k])) strand(mirror[k], +1);
   }
-  entries_.emplace(id, std::move(e));
 
   // Only the two rank neighbours' (l, r) expectations changed.
-  if (rank > 0) reseed_pair(sorted_ids_[rank - 1]);
-  if (rank + 1 < sorted_ids_.size()) reseed_pair(sorted_ids_[rank + 1]);
+  if (rank > 0) reseed_pair(rank - 1);
+  if (rank + 1 < sorted_ids_.size()) reseed_pair(rank + 1);
 }
 
 void InvariantTracker::on_remove(Id id) {
   const std::size_t rank = rank_of(id);
   SSSW_DCHECK(rank < sorted_ids_.size() && sorted_ids_[rank] == id);
-  const auto it = entries_.find(id);
-  SSSW_DCHECK(it != entries_.end());
-  Entry& e = it->second;
+  const std::size_t slot = slot_by_rank_[rank];
+  Entry& e = entries_[slot];
 
-  for (const Id target : e.targets) unref(target, id);
-  unresolved_links_ -= e.unresolved;
-  if (e.pair_ok) --sorted_pairs_;
-  if (e.forgot) --forgot_nodes_;
-  if (e.epoch_counted) --epoch_fresh_;
-  entries_.erase(it);
+  // The leaver's own links stop counting (before the erase, so a self-link
+  // still reads as resolved).
+  const std::span<Id> mirror = targets(slot);
+  for (Id& target : mirror) {
+    if (!contains(target)) strand(target, -1);
+    target = kNoTarget;
+  }
+  if (e.pair_ok) sorted_pairs_.fetch_sub(1, kRelaxed);
+  if (e.forgot) forgot_nodes_.fetch_sub(1, kRelaxed);
+  if (e.epoch_counted) epoch_fresh_.fetch_sub(1, kRelaxed);
+  e = Entry{};
   sorted_ids_.erase(sorted_ids_.begin() + static_cast<std::ptrdiff_t>(rank));
+  slot_by_rank_.erase(slot_by_rank_.begin() +
+                      static_cast<std::ptrdiff_t>(rank));
 
-  // Links that pointed at the leaver are now stranded.
-  if (const auto rit = refs_.find(id); rit != refs_.end()) {
-    for (const Id holder : rit->second) {
-      ++entries_.at(holder).unresolved;
-      ++unresolved_links_;
-    }
+  // Survivor links that pointed at the leaver are now stranded.  Untracked
+  // slots hold NaN, so one flat pass counts exactly the survivors' links.
+  const auto holders =
+      static_cast<std::size_t>(std::count(targets_.begin(), targets_.end(), id));
+  if (holders > 0) {
+    stranded_[id] += holders;
+    unresolved_links_.fetch_add(holders, kRelaxed);
   }
 
-  if (rank > 0) reseed_pair(sorted_ids_[rank - 1]);
-  if (rank < sorted_ids_.size()) reseed_pair(sorted_ids_[rank]);
+  if (rank > 0) reseed_pair(rank - 1);
+  if (rank < sorted_ids_.size()) reseed_pair(rank);
 }
 
 // --- mutation hooks --------------------------------------------------------
 
 void InvariantTracker::on_list_changed(const SmallWorldNode& node) {
-  const std::lock_guard<std::mutex> lock(hook_mutex_);
-  reseed_pair(node.id());
+  const std::size_t rank = rank_of(node.id());
+  SSSW_DCHECK(slot_by_rank_[rank] == node.store_slot());
+  reseed_pair(rank);
 }
 
 void InvariantTracker::on_lrl_changed(const SmallWorldNode& node) {
-  const std::lock_guard<std::mutex> lock(hook_mutex_);
-  const Id id = node.id();
-  Entry& e = entries_.at(id);
-  // Fast path: the notify fired but the target multiset is unchanged (lrls()
-  // preserves order, so an elementwise compare suffices) — nothing to do.
-  if (e.targets.size() == node.lrls().size()) {
-    bool same = true;
-    for (std::size_t i = 0; i < e.targets.size(); ++i)
-      if (e.targets[i] != node.lrls()[i].target) {
-        same = false;
-        break;
-      }
-    if (same) return;
-  }
-  for (const Id target : e.targets) unref(target, id);
-  unresolved_links_ -= e.unresolved;
-  e.unresolved = 0;
-  e.targets.clear();
-  for (const SmallWorldNode::LongRangeLink& link : node.lrls()) {
-    e.targets.push_back(link.target);
-    refs_[link.target].push_back(id);
-    if (!contains(link.target)) {
-      ++e.unresolved;
-      ++unresolved_links_;
-    }
+  const std::span<Id> mirror = targets(node.store_slot());
+  const std::span<const SmallWorldNode::LongRangeLink> links = node.lrls();
+  for (std::size_t k = 0; k < lrl_count_; ++k) {
+    const Id target = links[k].target;
+    if (mirror[k] == target) continue;
+    if (!contains(mirror[k])) strand(mirror[k], -1);
+    if (!contains(target)) strand(target, +1);
+    mirror[k] = target;
   }
 }
 
 void InvariantTracker::on_forget(const SmallWorldNode& node) {
-  const std::lock_guard<std::mutex> lock(hook_mutex_);
-  Entry& e = entries_.at(node.id());
+  Entry& e = entries_[node.store_slot()];
   if (!e.forgot && node.forget_count() > 0) {
     e.forgot = true;
-    ++forgot_nodes_;
+    forgot_nodes_.fetch_add(1, kRelaxed);
   }
   if (!e.epoch_counted && node.forget_count() > e.forget_baseline) {
     e.epoch_counted = true;
-    ++epoch_fresh_;
+    epoch_fresh_.fetch_add(1, kRelaxed);
   }
 }
 
@@ -189,16 +188,16 @@ void InvariantTracker::on_forget(const SmallWorldNode& node) {
 bool InvariantTracker::sorted_ring() const noexcept {
   if (!sorted_list()) return false;
   if (sorted_ids_.size() < 2) return true;  // single node: trivially a ring
-  const SmallWorldNode* min_node = entries_.at(sorted_ids_.front()).node;
-  const SmallWorldNode* max_node = entries_.at(sorted_ids_.back()).node;
+  const SmallWorldNode* min_node = entries_[slot_by_rank_.front()].node;
+  const SmallWorldNode* max_node = entries_[slot_by_rank_.back()].node;
   return min_node->ring() == sorted_ids_.back() &&
          max_node->ring() == sorted_ids_.front();
 }
 
 void InvariantTracker::arm_forget_epoch() {
-  epoch_fresh_ = 0;
-  for (auto& [id, e] : entries_) {
-    (void)id;
+  epoch_fresh_.store(0, kRelaxed);
+  for (const std::size_t slot : slot_by_rank_) {
+    Entry& e = entries_[slot];
     e.forget_baseline = e.node->forget_count();
     e.epoch_counted = false;
   }
@@ -208,7 +207,8 @@ void InvariantTracker::arm_forget_epoch() {
 
 void InvariantTracker::verify_against(const sim::Engine& engine) const {
   const std::span<const Id> ids = engine.id_span();
-  SSSW_CHECK_MSG(ids.size() == sorted_ids_.size(),
+  SSSW_CHECK_MSG(ids.size() == sorted_ids_.size() &&
+                     ids.size() == slot_by_rank_.size(),
                  "tracker mirror size diverged from engine");
   for (std::size_t i = 0; i < ids.size(); ++i)
     SSSW_CHECK_MSG(ids[i] == sorted_ids_[i],
@@ -218,13 +218,13 @@ void InvariantTracker::verify_against(const sim::Engine& engine) const {
   std::size_t forgot = 0;
   std::size_t fresh = 0;
   std::size_t unresolved = 0;
-  std::size_t ref_occurrences = 0;
+  std::unordered_map<Id, std::size_t> stranded;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const SmallWorldNode* node = as_node(engine.find(ids[i]));
     SSSW_CHECK_MSG(node != nullptr, "tracked id is not a SmallWorldNode");
-    const auto it = entries_.find(ids[i]);
-    SSSW_CHECK_MSG(it != entries_.end(), "tracked id has no entry");
-    const Entry& e = it->second;
+    const std::size_t slot = slot_by_rank_[i];
+    SSSW_CHECK_MSG(node->store_slot() == slot, "slot_by_rank_ diverged");
+    const Entry& e = entries_[slot];
     SSSW_CHECK_MSG(e.node == node, "entry caches a stale node pointer");
 
     const bool want_pair = pair_ok_for(*node, i);
@@ -240,38 +240,37 @@ void InvariantTracker::verify_against(const sim::Engine& engine) const {
                    "entry epoch_counted diverged");
     if (want_fresh) ++fresh;
 
-    std::uint32_t want_unresolved = 0;
-    SSSW_CHECK_MSG(e.targets.size() == node->lrls().size(),
-                   "entry target mirror size diverged");
-    for (std::size_t k = 0; k < e.targets.size(); ++k) {
+    SSSW_CHECK_MSG(node->lrls().size() == lrl_count_,
+                   "node link count differs from the mirror stride");
+    for (std::size_t k = 0; k < lrl_count_; ++k) {
       const Id target = node->lrls()[k].target;
-      SSSW_CHECK_MSG(e.targets[k] == target, "entry target mirror diverged");
-      if (!engine.contains(target)) ++want_unresolved;
-      const auto rit = refs_.find(target);
-      SSSW_CHECK_MSG(rit != refs_.end() &&
-                         std::count(rit->second.begin(), rit->second.end(),
-                                    ids[i]) >= 1,
-                     "refs_ missing a holder occurrence");
+      SSSW_CHECK_MSG(targets_[slot * lrl_count_ + k] == target,
+                     "link-target mirror diverged");
+      if (!engine.contains(target)) {
+        ++stranded[target];
+        ++unresolved;
+      }
     }
-    SSSW_CHECK_MSG(e.unresolved == want_unresolved,
-                   "entry unresolved count diverged");
-    unresolved += want_unresolved;
-    ref_occurrences += e.targets.size();
   }
 
-  std::size_t stored_occurrences = 0;
-  for (const auto& [target, holders] : refs_) {
-    (void)target;
-    SSSW_CHECK_MSG(!holders.empty(), "refs_ keeps an empty holder list");
-    stored_occurrences += holders.size();
+  // Every other slot is untracked: no entry, and a mirror no id matches.
+  std::size_t tracked_slots = 0;
+  for (std::size_t slot = 0; slot < entries_.size(); ++slot) {
+    if (entries_[slot].node != nullptr) {
+      ++tracked_slots;
+      continue;
+    }
+    for (std::size_t k = 0; k < lrl_count_; ++k)
+      SSSW_CHECK_MSG(std::isnan(targets_[slot * lrl_count_ + k]),
+                     "untracked slot keeps a link-target mirror");
   }
-  SSSW_CHECK_MSG(stored_occurrences == ref_occurrences,
-                 "refs_ occurrence total diverged");
+  SSSW_CHECK_MSG(tracked_slots == ids.size(), "stale tracked slot");
 
-  SSSW_CHECK_MSG(sorted_pairs_ == pairs, "sorted_pairs_ diverged");
-  SSSW_CHECK_MSG(forgot_nodes_ == forgot, "forgot_nodes_ diverged");
-  SSSW_CHECK_MSG(epoch_fresh_ == fresh, "epoch_fresh_ diverged");
-  SSSW_CHECK_MSG(unresolved_links_ == unresolved, "unresolved_links_ diverged");
+  SSSW_CHECK_MSG(stranded == stranded_, "stranded_ counts diverged");
+  SSSW_CHECK_MSG(sorted_pairs() == pairs, "sorted_pairs_ diverged");
+  SSSW_CHECK_MSG(forgot_nodes() == forgot, "forgot_nodes_ diverged");
+  SSSW_CHECK_MSG(epoch_fresh_.load(kRelaxed) == fresh, "epoch_fresh_ diverged");
+  SSSW_CHECK_MSG(unresolved_links() == unresolved, "unresolved_links_ diverged");
 }
 
 }  // namespace sssw::core

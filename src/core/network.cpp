@@ -22,7 +22,7 @@ SmallWorldNetwork::SmallWorldNetwork(NetworkOptions options)
           .faults = options.faults,
           .adversary_delay = options.adversary_delay,
           .shards = options.shards}),
-      tracker_(std::make_unique<InvariantTracker>()) {}
+      tracker_(std::make_unique<InvariantTracker>(options.protocol.lrl_count)) {}
 
 void SmallWorldNetwork::add_node(const NodeInit& init) {
   auto node = std::make_unique<SmallWorldNode>(init, *store_);

@@ -86,6 +86,9 @@ class SmallWorldNode final : public sim::Process {
   /// All long-range links (size = config.lrl_count), a view into the store.
   std::span<const LongRangeLink> lrls() const noexcept { return links(); }
   const Config& config() const noexcept { return store_->config(); }
+  /// This node's dense index into its NodeStore (unique among the nodes of
+  /// one network, which share a store); keys the invariant tracker's state.
+  std::size_t store_slot() const noexcept { return slot_; }
 
   /// True when this node stores a ring edge per the paper's rule
   /// ("only set if p.l = −∞ or p.r = ∞") and it is not the inert self-link.

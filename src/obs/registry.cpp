@@ -23,6 +23,11 @@ std::size_t bucket_index(double x) noexcept {
 
 }  // namespace
 
+std::size_t Counter::next_stripe() noexcept {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
 void Histogram::observe(double x) noexcept {
   if (!(x >= 0.0)) return;  // negatives and NaN carry no log-scale meaning
   ++buckets_[bucket_index(x)];

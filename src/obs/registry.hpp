@@ -19,14 +19,17 @@
 // trials (util::parallel_for) each own a private per-trial registry and the
 // driver merges them in trial order afterwards — merge is associative and
 // trial-ordered, so the merged result is deterministic no matter how the
-// trials were scheduled.  Counter::add alone is relaxed-atomic: the sharded
+// trials were scheduled.  Counter::add alone is thread-safe: the sharded
 // engine's node-level counters fire from parallel round phases against one
-// shared registry, and integer addition commutes, so the post-barrier totals
-// are identical whatever the interleaving.
+// shared registry.  Each thread adds to its own cache-line-padded stripe
+// (no shared cache line to bounce between lanes) and value() sums the
+// stripes; integer addition commutes, so the post-barrier totals are
+// identical whatever the interleaving or the shard count.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -35,22 +38,40 @@
 
 namespace sssw::obs {
 
-/// Monotone event counter.  add() is relaxed-atomic (see header comment);
-/// value()/reset()/merge() are meant for the sequential sections between
-/// parallel phases.
+/// Monotone event counter.  add() is thread-safe and striped (see header
+/// comment); value()/reset()/merge() are meant for the sequential sections
+/// between parallel phases.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    cells_[stripe()].value.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Cell& cell : cells_)
+      total += cell.value.load(std::memory_order_relaxed);
+    return total;
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
   void merge(const Counter& other) noexcept { add(other.value()); }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  static constexpr std::size_t kStripes = 8;
+  /// One stripe per cache line, so lanes adding concurrently never share one.
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  /// The calling thread's stripe: threads take stripes round-robin on their
+  /// first add, so up to kStripes threads never share a cell.
+  static std::size_t stripe() noexcept {
+    thread_local const std::size_t index = next_stripe();
+    return index;
+  }
+  static std::size_t next_stripe() noexcept;
+
+  std::array<Cell, kStripes> cells_;
 };
 
 /// Last-observed level.  Merge keeps the maximum, so a gauge merged across

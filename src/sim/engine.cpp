@@ -206,7 +206,6 @@ void Engine::enqueue_or_drop(Id to, const Message& message) {
 void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message) {
   SSSW_DCHECK(message.type < kMaxMessageTypes);
   ++counters_.sent_by_type[message.type];
-  if (metrics_.sent) metrics_.sent->add();
   for (const auto& [id, hook] : send_hooks_) hook(to, message);
   // Loss and fault fates draw from the *sender's* stream: each process's
   // draw sequence (protocol flips during its action, then the fates of its
@@ -275,8 +274,6 @@ void Engine::deliver_buffered(Slot& slot, std::size_t slot_index,
                               const Message& message, EngineLane& lane) {
   ++lane.deliveries;
   ++lane.actions;
-  if (metrics_.delivered) metrics_.delivered->add();
-  if (metrics_.actions) metrics_.actions->add();
   Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &lane);
   slot.process->on_message(ctx, message);
 }
@@ -302,6 +299,11 @@ void Engine::merge_lanes(std::size_t lanes) {
     EngineLane& lane = lanes_[i];
     counters_.actions += lane.actions;
     counters_.deliveries += lane.deliveries;
+    // The registry learns a lane's tallies in bulk, here, rather than once
+    // per action from inside the lane.
+    if (metrics_.actions) metrics_.actions->add(lane.actions);
+    if (metrics_.delivered) metrics_.delivered->add(lane.deliveries);
+    if (metrics_.sent) metrics_.sent->add(lane.outbox.size());
     pending_total_ -= lane.drained;
     lane.actions = 0;
     lane.deliveries = 0;
@@ -377,7 +379,6 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
           const std::size_t slot_index = order_[rank];
           Slot& slot = slots_[slot_index];
           ++out.actions;
-          if (metrics_.actions) metrics_.actions->add();
           Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &out);
           slot.process->on_regular(ctx);
         }

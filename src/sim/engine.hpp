@@ -347,8 +347,8 @@ class Engine {
   };
 
   /// Cached metric handles (registry-owned); all null when detached, so the
-  /// hot paths pay one branch.  Counters are relaxed-atomic (obs/registry),
-  /// so lane-parallel adds are safe and totals stay deterministic.
+  /// hot paths pay one branch.  Lanes never touch them: merge_lanes adds
+  /// each lane's tallies in bulk.
   struct Metrics {
     obs::Counter* rounds = nullptr;
     obs::Counter* actions = nullptr;
@@ -365,10 +365,12 @@ class Engine {
     obs::Gauge* processes = nullptr;
   };
 
-  /// The sequential send path: counts the send, fires send hooks, draws the
-  /// loss/fault fate from the *sender's* stream, and routes the survivors.
-  /// Called inline from sequential contexts and from the phase merge for
-  /// buffered sends — same code, same stream, same order either way.
+  /// Counts the send by type, fires send hooks, draws the loss/fault fate
+  /// from the *sender's* stream, and routes the survivors.  Called inline
+  /// from sequential contexts and from the phase merge for buffered sends —
+  /// same code, same stream, same order either way.  The registry's
+  /// engine.messages.sent is counted by the caller: per send in
+  /// Context::send, per lane in merge_lanes.
   void dispatch_send(std::size_t from_slot, Id to, const Message& message);
   void enqueue_or_drop(Id to, const Message& message);
   void release_due_messages();
@@ -451,6 +453,7 @@ inline void Context::send(Id to, const Message& message) {
     lane_->outbox.push_back(PendingSend{from_slot_, to, message});
     return;
   }
+  if (engine_.metrics_.sent) engine_.metrics_.sent->add();
   engine_.dispatch_send(from_slot_, to, message);
 }
 

@@ -6,13 +6,16 @@
 // twins (the ISSUE 4 acceptance criterion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/invariants.hpp"
 #include "core/network.hpp"
 #include "core/snapshot.hpp"
+#include "obs/registry.hpp"
 #include "topology/initial_states.hpp"
 #include "util/rng.hpp"
 
@@ -201,6 +204,68 @@ TEST(InvariantTracker, TestMutatorsKeepTrackerExact) {
   }
   EXPECT_TRUE(net.run_until_sorted_ring(5000).has_value());
   expect_tracker_matches_oracle(net);
+}
+
+// --- shard-count invariance ------------------------------------------------
+
+/// The tracked answers after one round: the four predicates plus the
+/// counters behind them.
+using TrackedAnswers =
+    std::tuple<bool, bool, bool, bool, std::size_t, std::size_t, std::size_t>;
+
+TrackedAnswers tracked_answers(const InvariantTracker& t) {
+  return {t.sorted_list(),  t.sorted_ring(),  t.lrls_resolve(),
+          t.all_forgot(),   t.sorted_pairs(), t.forgot_nodes(),
+          t.unresolved_links()};
+}
+
+/// A 512-node stable ring with the active detector and a registry attached
+/// takes a join and a leave, then crashes 10% of its nodes and runs until
+/// the ring heals.  The hooks fire from parallel lanes at shards > 1; crashed
+/// lrl targets drive the stranded-target path concurrently.  Every round is
+/// cross-checked by verify_against; returns the tracked answers per round.
+std::vector<TrackedAnswers> sharded_churn_answers(std::size_t shards) {
+  util::Rng rng(20120521);
+  NetworkOptions options;
+  options.seed = 20120521;
+  options.shards = shards;
+  options.protocol.detector.enabled = true;
+  obs::Registry registry;
+  SmallWorldNetwork net = make_stable_ring(random_ids(512, rng), options);
+  net.attach_metrics(registry);
+
+  std::vector<TrackedAnswers> answers;
+  const auto step = [&] {
+    net.run_rounds(1);
+    net.tracker().verify_against(net.engine());
+    answers.push_back(tracked_answers(net.tracker()));
+  };
+  for (int round = 0; round < 20; ++round) step();
+
+  const std::vector<sim::Id> ids(net.engine().id_span().begin(),
+                                 net.engine().id_span().end());
+  EXPECT_TRUE(net.join(0.5 * (ids[100] + ids[101]), ids[0]));
+  EXPECT_TRUE(net.leave(ids[200]));
+  net.tracker().verify_against(net.engine());
+  for (int round = 0; round < 10; ++round) step();
+
+  for (std::size_t i = 3; i < ids.size(); i += 10) EXPECT_TRUE(net.crash(ids[i]));
+  net.tracker().verify_against(net.engine());
+  for (int round = 0; round < 4000 && !net.sorted_ring(); ++round) step();
+  EXPECT_TRUE(net.sorted_ring()) << "shards " << shards;
+  EXPECT_EQ(net.tracker().sorted_ring(), is_sorted_ring(net.engine()));
+  EXPECT_EQ(net.tracker().lrls_resolve(), lrls_resolve(net.engine()));
+  return answers;
+}
+
+TEST(InvariantTracker, ShardedChurnWithRegistryStaysExactAtEveryShardCount) {
+  const std::vector<TrackedAnswers> one = sharded_churn_answers(1);
+  const std::vector<TrackedAnswers> four = sharded_churn_answers(4);
+  EXPECT_EQ(one, four);
+  // The crash strands links, so the concurrent stranded-target path ran.
+  EXPECT_TRUE(std::any_of(one.begin(), one.end(), [](const TrackedAnswers& a) {
+    return std::get<6>(a) > 0;
+  }));
 }
 
 // --- bit-identical round counts vs the recompute path ----------------------

@@ -9,12 +9,14 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/network.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "routing/greedy.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sssw::obs {
@@ -34,6 +36,38 @@ TEST(Counter, AddValueResetMerge) {
   EXPECT_EQ(a.value(), 50u);
   a.reset();
   EXPECT_EQ(a.value(), 0u);
+}
+
+TEST(Counter, ConcurrentAddsSumExactly) {
+  // Each thread adds to its own stripe; value() must still see every add.
+  Counter counter;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&counter] {
+      for (int i = 0; i < 100000; ++i) counter.add();
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(counter.value(), 400000u);
+
+  // reset() zeroes every stripe, not just the caller's.
+  counter.reset();
+  EXPECT_EQ(counter.value(), 0u);
+  std::thread([&counter] { counter.add(5); }).join();
+  EXPECT_EQ(counter.value(), 5u);
+
+  // merge and Registry::reset keep cached references valid.
+  Registry registry;
+  Counter& cached = registry.counter("c");
+  cached.add(3);
+  Registry other;
+  other.counter("c").add(4);
+  registry.merge(other);
+  EXPECT_EQ(&registry.counter("c"), &cached);
+  EXPECT_EQ(cached.value(), 7u);
+  registry.reset();
+  EXPECT_EQ(cached.value(), 0u);
+  cached.add(2);
+  EXPECT_EQ(registry.find_counter("c")->value(), 2u);
 }
 
 // --- Gauge -----------------------------------------------------------------
@@ -322,21 +356,36 @@ TEST(Snapshotter, PollRespectsPeriodAndWriteSkipsDuplicates) {
 
 // --- engine / network integration -------------------------------------------
 
-TEST(ObsIntegration, RegistryAgreesWithEngineCounters) {
-  core::SmallWorldNetwork net =
-      core::make_stable_ring({0.1, 0.3, 0.5, 0.7, 0.9});
+/// Runs `ids` as a stable ring at `shards` with a registry attached and
+/// checks every engine.* counter against the engine's own tallies.
+void expect_registry_agrees(std::vector<sim::Id> ids, std::size_t shards) {
+  core::NetworkOptions options;
+  options.shards = shards;
+  const std::size_t n = ids.size();
+  core::SmallWorldNetwork net = core::make_stable_ring(std::move(ids), options);
   Registry registry;
   net.attach_metrics(registry);
   net.run_rounds(20);
   const auto& counters = net.engine().counters();
+  EXPECT_EQ(registry.find_counter("engine.actions")->value(), counters.actions);
   EXPECT_EQ(registry.find_counter("engine.messages.delivered")->value(),
             counters.deliveries);
   EXPECT_EQ(registry.find_counter("engine.messages.sent")->value(),
             counters.total_sent());
   EXPECT_EQ(registry.find_counter("engine.rounds")->value(), 20u);
-  EXPECT_DOUBLE_EQ(registry.find_gauge("engine.processes")->value(), 5.0);
+  EXPECT_DOUBLE_EQ(registry.find_gauge("engine.processes")->value(),
+                   static_cast<double>(n));
   // Protocol activity reached the node.* counters too.
   EXPECT_GT(registry.find_counter("node.lrl.moves")->value(), 0u);
+}
+
+TEST(ObsIntegration, RegistryAgreesWithEngineCounters) {
+  expect_registry_agrees({0.1, 0.3, 0.5, 0.7, 0.9}, 1);
+}
+
+TEST(ObsIntegration, RegistryAgreesWithEngineCountersAtFourShards) {
+  util::Rng rng(20120521);
+  expect_registry_agrees(core::random_ids(256, rng), 4);
 }
 
 TEST(ObsIntegration, JoinedNodesInheritTheMetricsSink) {

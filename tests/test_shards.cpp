@@ -9,7 +9,10 @@
 // a single bit of it.  Each test runs the same trial at shards ∈ {1, 2, 4,
 // 8} and asserts the full trajectory digest matches the shards=1 baseline:
 // round count, an FNV-1a fold of EngineCounters, and an FNV-1a fold of the
-// final topology (every node's l/r/ring/lrl/age state in id order).
+// final topology (every node's l/r/ring/lrl/age state in id order).  The
+// trials also run with an obs::Registry attached, and its flattened
+// contents must match too: counters fire from parallel lanes, so a metric
+// that depended on the partition would show up here.
 //
 // The trials deliberately stack every nondeterminism source the engine
 // owns: message loss, fault injection (duplication, delay, replay), the
@@ -24,10 +27,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/fuzz.hpp"
 #include "core/network.hpp"
+#include "obs/registry.hpp"
 #include "service/lookup_manager.hpp"
 #include "topology/initial_states.hpp"
 #include "util/rng.hpp"
@@ -116,13 +121,14 @@ struct TrialDigest {
   std::uint64_t counters = 0;
   std::uint64_t state = 0;
   std::uint64_t lookups = 0;
+  std::vector<std::pair<std::string, double>> metrics;  ///< obs::flatten
 
   bool operator==(const TrialDigest&) const = default;
 };
 
 /// One adversarial trial: 32 nodes from a random tree, loss + duplication +
 /// delay + replay faults, the active detector, open-loop lookup load with
-/// retries and hedging, two mid-run crash-stops.
+/// retries and hedging, two mid-run crash-stops, a registry attached.
 TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
                       std::uint64_t seed) {
   NetworkOptions options;
@@ -140,6 +146,7 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
   options.protocol.detector.enabled = true;
 
   util::Rng rng(seed);
+  obs::Registry registry;  // outlives the network and manager bound to it
   SmallWorldNetwork net(options);
   net.add_nodes(topology::make_initial_state(topology::InitialShape::kRandomTree,
                                              random_ids(32, rng), rng));
@@ -152,6 +159,8 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
   lookup_config.hedge_after = 8;
   lookup_config.seed = seed;
   service::LookupManager lookups(net, lookup_config);
+  net.attach_metrics(registry);
+  lookups.attach_metrics(registry);
 
   net.run_rounds(30);
 
@@ -168,6 +177,7 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
   digest.counters = counters_digest(net.engine().counters());
   digest.state = state_digest(net);
   digest.lookups = lookup_digest(lookups.totals());
+  digest.metrics = obs::flatten(registry);
   return digest;
 }
 
@@ -183,6 +193,8 @@ TEST(Shards, TwinRunsMatchAcrossShardCountsForEveryScheduler) {
       EXPECT_EQ(twin.state, baseline.state)
           << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
       EXPECT_EQ(twin.lookups, baseline.lookups)
+          << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
+      EXPECT_EQ(twin.metrics, baseline.metrics)
           << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
     }
   }

@@ -2,24 +2,46 @@
 //
 // Not a paper experiment — this pins the performance envelope of the
 // substrate every experiment runs on: rounds/sec for stable rings of various
-// sizes, channel throughput, and graph-view extraction cost.
+// sizes, channel throughput, graph-view extraction cost, and the φ(α)
+// forget-probability evaluation every move pays.
+#include <benchmark/benchmark.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "core/forget.hpp"
 #include "core/invariants.hpp"
+#include "core/network.hpp"
 #include "core/node.hpp"
 #include "core/views.hpp"
 #include "sim/channel.hpp"
+#include "obs/registry.hpp"
 #include "topology/initial_states.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace sssw;
 
+/// Fixed base seed: benches are reproducible run-to-run.
+constexpr std::uint64_t kBaseSeed = 20120521;  // IPPS 2012 :-)
+
+/// A stable ring of n random ids after `burn_in` rounds of move-and-forget.
+core::SmallWorldNetwork stabilized(std::size_t n, std::uint64_t seed,
+                                   std::size_t burn_in) {
+  util::Rng rng(seed);
+  core::NetworkOptions options;
+  options.seed = seed;
+  core::SmallWorldNetwork network =
+      core::make_stable_ring(core::random_ids(n, rng), options);
+  network.run_rounds(burn_in);
+  return network;
+}
+
 void BM_Engine_StableRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
+  core::SmallWorldNetwork network = stabilized(n, kBaseSeed, 8);
   for (auto _ : state) network.run_rounds(1);
   const auto& counters = network.engine().counters();
   state.SetItemsProcessed(static_cast<std::int64_t>(counters.actions));
@@ -42,9 +64,9 @@ BENCHMARK(BM_Engine_StableRound)->Arg(100)->Arg(1000)->Arg(10000)
 void BM_Engine_ActionThroughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kind = static_cast<sim::SchedulerKind>(state.range(1));
-  util::Rng rng(bench::kBaseSeed);
+  util::Rng rng(kBaseSeed);
   core::NetworkOptions options;
-  options.seed = bench::kBaseSeed;
+  options.seed = kBaseSeed;
   options.scheduler = kind;
   options.async_actions_per_round = 4096;
   options.shards = static_cast<std::size_t>(state.range(2));
@@ -57,7 +79,7 @@ void BM_Engine_ActionThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(
       registry.find_counter("engine.actions")->value()));
   state.counters["shards"] = static_cast<double>(state.range(2));
-  bench::report_registry(state, registry);
+  for (const auto& [name, value] : obs::flatten(registry)) state.counters[name] = value;
 }
 BENCHMARK(BM_Engine_ActionThroughput)
     ->ArgsProduct({{1000, 10000, 100000},
@@ -85,9 +107,9 @@ void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    util::Rng rng(bench::kBaseSeed);
+    util::Rng rng(kBaseSeed);
     core::NetworkOptions options;
-    options.seed = bench::kBaseSeed;
+    options.seed = kBaseSeed;
     options.shards = shards;
     core::SmallWorldNetwork network =
         core::make_stable_ring(core::random_ids(n, rng), options);
@@ -139,7 +161,7 @@ BENCHMARK(BM_Channel_PushDrain)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_Views_ExtractCp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
+  core::SmallWorldNetwork network = stabilized(n, kBaseSeed, 8);
   const core::IdIndex index = network.make_index();
   for (auto _ : state) {
     auto graph = core::view_cp(network.engine(), index);
@@ -152,7 +174,7 @@ BENCHMARK(BM_Views_ExtractCp)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicroseco
 
 void BM_Invariant_SortedRingCheck(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 0);
+  core::SmallWorldNetwork network = stabilized(n, kBaseSeed, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(network.sorted_ring());
   }
@@ -260,7 +282,7 @@ void BM_Convergence_RunUntilSortedList(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::SmallWorldNetwork network = chain_network(
-        n, bench::kBaseSeed + n, sim::SchedulerKind::kSynchronous, 0);
+        n, kBaseSeed + n, sim::SchedulerKind::kSynchronous, 0);
     state.ResumeTiming();
     if (mode == OracleMode::kRecompute) {
       sim::Engine& engine = network.engine();
@@ -309,7 +331,7 @@ void BM_Convergence_ObservedRun(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::SmallWorldNetwork network = chain_network(
-        n, bench::kBaseSeed + n, sim::SchedulerKind::kRandomAsync, kSlice);
+        n, kBaseSeed + n, sim::SchedulerKind::kRandomAsync, kSlice);
     state.ResumeTiming();
     slices = 0;
     bool converged = false;
@@ -374,7 +396,7 @@ BENCHMARK(BM_Convergence_ObservedRun)
 void BM_Convergence_CheckEval(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto mode = static_cast<OracleMode>(state.range(1));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
+  core::SmallWorldNetwork network = stabilized(n, kBaseSeed, 8);
   if (mode == OracleMode::kRecompute) {
     for (auto _ : state) {
       benchmark::DoNotOptimize(seed_oracle::is_sorted_ring(network.engine()));
@@ -396,6 +418,18 @@ BENCHMARK(BM_Convergence_CheckEval)
                    {static_cast<int>(OracleMode::kTracked),
                     static_cast<int>(OracleMode::kRecompute)}})
     ->Unit(benchmark::kMicrosecond);
+
+void BM_Forget_PhiEvaluation(benchmark::State& state) {
+  // Hot-loop cost of φ(α): called once per move for every node.
+  core::Age age = 3;
+  double sink = 0.0;
+  for (auto _ : state) {
+    sink += core::forget_probability(age, 0.1);
+    age = age % 100000 + 3;
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_Forget_PhiEvaluation);
 
 }  // namespace
 

@@ -19,17 +19,6 @@
 
 using namespace sssw;
 
-namespace {
-
-topology::InitialShape parse_shape(const std::string& name) {
-  for (const topology::InitialShape shape : topology::kAllShapes)
-    if (name == topology::to_string(shape)) return shape;
-  std::fprintf(stderr, "unknown shape '%s', using random-chain\n", name.c_str());
-  return topology::InitialShape::kRandomChain;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::int64_t n = 128;
   std::int64_t seed = 7;
@@ -40,7 +29,12 @@ int main(int argc, char** argv) {
   cli.flag("shape", "initial topology shape", &shape_name);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
-  const auto shape = parse_shape(shape_name);
+  const auto parsed_shape = topology::shape_from_string(shape_name);
+  if (!parsed_shape) {
+    std::fprintf(stderr, "unknown shape '%s'\n", shape_name.c_str());
+    return 1;
+  }
+  const topology::InitialShape shape = *parsed_shape;
   util::Rng rng(static_cast<std::uint64_t>(seed));
   auto ids = core::random_ids(static_cast<std::size_t>(n), rng);
   auto inits = topology::make_initial_state(shape, ids, rng);

@@ -536,18 +536,6 @@ void append_number(std::string& out, Int value) {
   out.append(buffer, result.ptr);
 }
 
-std::optional<topology::InitialShape> shape_from_string(const std::string& name) {
-  for (const topology::InitialShape shape : topology::kAllShapes)
-    if (name == topology::to_string(shape)) return shape;
-  return std::nullopt;
-}
-
-std::optional<sim::SchedulerKind> scheduler_from_string(const std::string& name) {
-  for (const sim::SchedulerKind kind : sim::kAllSchedulers)
-    if (name == sim::to_string(kind)) return kind;
-  return std::nullopt;
-}
-
 std::optional<core::Phase> phase_from_string(const std::string& name) {
   for (const core::Phase phase : kAllPhases)
     if (name == core::to_string(phase)) return phase;
@@ -722,13 +710,13 @@ std::optional<FuzzRepro> parse_repro(const std::string& json) {
     bool parsed = false;
     if (k == "shape") {
       if (!scan.string(v)) return std::nullopt;
-      const auto shape = shape_from_string(v);
+      const auto shape = topology::shape_from_string(v);
       if (!shape) return std::nullopt;
       c.shape = *shape;
       parsed = true;
     } else if (k == "scheduler") {
       if (!scan.string(v)) return std::nullopt;
-      const auto kind = scheduler_from_string(v);
+      const auto kind = sim::scheduler_from_string(v);
       if (!kind) return std::nullopt;
       c.scheduler = *kind;
       parsed = true;

@@ -239,8 +239,7 @@ std::string render_report_md(const SweepRun& run) {
     const ExperimentDescriptor* descriptor = find_experiment(experiment);
     out += "\n## " + experiment + "\n\n";
     if (descriptor != nullptr)
-      out += std::string(descriptor->claim) + " (bench counterpart: `" +
-             std::string(descriptor->binary) + "`; see doc/BENCHMARKS.md).\n\n";
+      out += std::string(descriptor->claim) + " (see doc/BENCHMARKS.md).\n\n";
     out += render_markdown_table(run, experiment);
   }
   return out;

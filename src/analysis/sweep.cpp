@@ -4,6 +4,7 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -84,26 +85,6 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
   }
 }
 
-bool shape_from_string(std::string_view name, topology::InitialShape* out) {
-  for (const topology::InitialShape shape : topology::kAllShapes) {
-    if (name == topology::to_string(shape)) {
-      *out = shape;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool scheduler_from_string(std::string_view name, sim::SchedulerKind* out) {
-  for (const sim::SchedulerKind kind : sim::kAllSchedulers) {
-    if (name == sim::to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 // --- hashing ---------------------------------------------------------------
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
@@ -130,7 +111,9 @@ std::string hex16(std::uint64_t hash) {
 
 // --- axis specs ------------------------------------------------------------
 
-std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
+namespace {
+
+std::optional<FaultSpec> parse_one_fault(std::string_view spec) {
   const auto parts = split(spec, ':');
   const std::string_view kind = parts[0];
   FaultSpec out;
@@ -196,6 +179,43 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
   return std::nullopt;
 }
 
+}  // namespace
+
+std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
+  const auto parts = split(spec, '+');
+  if (parts.size() == 1) return parse_one_fault(spec);
+  // A compound spec: several plan dimensions live at once, each at most once.
+  FaultSpec out;
+  sim::FaultPlan& plan = out.plan;
+  std::set<std::string_view> kinds;
+  std::vector<std::string> canonicals;
+  for (const std::string_view part : parts) {
+    const auto one = parse_one_fault(part);
+    const std::string_view kind = part.substr(0, part.find(':'));
+    if (!one || !one->plan.active() || !kinds.insert(kind).second)
+      return std::nullopt;
+    if (kind == "dup") {
+      plan.duplicate_probability = one->plan.duplicate_probability;
+    } else if (kind == "delay") {
+      plan.delay_probability = one->plan.delay_probability;
+      plan.max_delay_rounds = one->plan.max_delay_rounds;
+    } else if (kind == "partition") {
+      plan.partition_start = one->plan.partition_start;
+      plan.partition_rounds = one->plan.partition_rounds;
+      plan.partition_pivot = one->plan.partition_pivot;
+    } else {
+      plan.replay_probability = one->plan.replay_probability;
+      plan.replay_history = one->plan.replay_history;
+    }
+    canonicals.push_back(one->canonical);
+  }
+  std::sort(canonicals.begin(), canonicals.end());
+  out.canonical.clear();
+  for (const std::string& canonical : canonicals)
+    out.canonical += (out.canonical.empty() ? "" : "+") + canonical;
+  return out;
+}
+
 std::optional<AblationSpec> parse_ablation_spec(const std::string& spec) {
   const auto parts = split(spec, ':');
   const std::string_view kind = parts[0];
@@ -252,6 +272,36 @@ bool fail(SweepParseError* error, std::size_t line, std::string message) {
   return false;
 }
 
+}  // namespace
+
+std::string check_param(const ExperimentDescriptor& experiment,
+                        std::string_view key, std::string_view value) {
+  const auto spec =
+      std::find_if(experiment.params.begin(), experiment.params.end(),
+                   [&](const ParamSpec& candidate) { return candidate.key == key; });
+  if (spec == experiment.params.end())
+    return "experiment '" + std::string(experiment.name) + "' takes no param '" +
+           std::string(key) + "'";
+  std::string want;
+  if (!spec->choices.empty()) {
+    for (const std::string_view choice : spec->choices) {
+      if (choice == value) return "";
+      want += (want.empty() ? "" : "|") + std::string(choice);
+    }
+  } else {
+    double number = 0;
+    if (parse_double(value, &number) && number >= spec->min &&
+        number < spec->max && (!spec->integer || number == std::floor(number)))
+      return "";
+    want = std::string(spec->integer ? "an integer" : "a number") + " in [" +
+           render_double(spec->min) + ", " + render_double(spec->max) + ")";
+  }
+  return "bad value '" + std::string(value) + "' for param '" + std::string(key) +
+         "' of '" + std::string(experiment.name) + "' (want " + want + ")";
+}
+
+namespace {
+
 /// Parses one `experiments` entry `name[:k=v]...` into canonical form.
 bool parse_experiment_ref(std::string_view entry, ExperimentRef* out,
                           std::string* message) {
@@ -271,12 +321,9 @@ bool parse_experiment_ref(std::string_view entry, ExperimentRef* out,
       return false;
     }
     const std::string_view key = parts[i].substr(0, eq);
-    bool allowed = false;
-    for (const std::string_view candidate : descriptor->allowed_params)
-      allowed |= candidate == key;
-    if (!allowed) {
-      *message = "experiment '" + out->name + "' takes no param '" +
-                 std::string(key) + "'";
+    if (std::string problem = check_param(*descriptor, key, parts[i].substr(eq + 1));
+        !problem.empty()) {
+      *message = std::move(problem);
       return false;
     }
     for (const auto& [existing, value] : params) {
@@ -388,23 +435,23 @@ std::optional<SweepConfig> parse_sweep_config(std::string_view text,
     } else if (key == "shapes") {
       config.shapes.clear();
       for (const std::string_view item : items) {
-        topology::InitialShape shape;
-        if (!shape_from_string(item, &shape)) {
+        const auto shape = topology::shape_from_string(item);
+        if (!shape) {
           fail(error, line_number, "unknown shape '" + std::string(item) + "'");
           return std::nullopt;
         }
-        config.shapes.push_back(shape);
+        config.shapes.push_back(*shape);
       }
     } else if (key == "schedulers") {
       config.schedulers.clear();
       for (const std::string_view item : items) {
-        sim::SchedulerKind kind;
-        if (!scheduler_from_string(item, &kind)) {
+        const auto kind = sim::scheduler_from_string(item);
+        if (!kind) {
           fail(error, line_number,
                "unknown scheduler '" + std::string(item) + "'");
           return std::nullopt;
         }
-        config.schedulers.push_back(kind);
+        config.schedulers.push_back(*kind);
       }
     } else if (key == "faults") {
       config.faults.clear();
@@ -415,7 +462,8 @@ std::optional<SweepConfig> parse_sweep_config(std::string_view text,
                "bad fault spec '" + std::string(item) +
                    "' (want none | dup:P | delay:P:MAX | "
                    "partition:PIVOT:START:ROUNDS | replay:P:HIST | "
-                   "oldest-last:HOLD)");
+                   "oldest-last:HOLD, or dup/delay/partition/replay specs "
+                   "joined by '+')");
           return std::nullopt;
         }
         config.faults.push_back(std::move(*spec));
@@ -780,9 +828,11 @@ std::optional<CellMeta> parse_cell_meta(const std::string& text) {
   meta.cell.experiment = *experiment;
   meta.cell.params = *params;
   meta.cell.n = static_cast<std::size_t>(*n);
-  if (!shape_from_string(*shape, &meta.cell.shape)) return std::nullopt;
-  if (!scheduler_from_string(*scheduler, &meta.cell.scheduler))
-    return std::nullopt;
+  const auto shape_kind = topology::shape_from_string(*shape);
+  const auto scheduler_kind = sim::scheduler_from_string(*scheduler);
+  if (!shape_kind || !scheduler_kind) return std::nullopt;
+  meta.cell.shape = *shape_kind;
+  meta.cell.scheduler = *scheduler_kind;
   meta.cell.fault = *fault;
   meta.cell.ablation = *ablation;
   meta.cell.seed = static_cast<std::uint64_t>(*seed);

@@ -43,8 +43,11 @@ namespace sssw::analysis {
 /// One fault-axis entry, parsed from a spec string:
 ///   none | dup:P | delay:P:MAX | partition:PIVOT:START:ROUNDS |
 ///   replay:P:HIST | oldest-last:HOLD
+/// or several of the dup/delay/partition/replay kinds joined by '+' (each
+/// kind at most once), which makes every one of them live at once.
 /// `canonical` is the spec re-rendered from the parsed values (shortest
-/// round-trip doubles) — the form used in cell keys, hashes, and reports.
+/// round-trip doubles, compound parts sorted) — the form used in cell keys,
+/// hashes, and reports.
 struct FaultSpec {
   std::string canonical = "none";
   sim::FaultPlan plan{};

@@ -65,7 +65,7 @@ struct Config {
   /// link runs its own move-and-forget walk; reslrl responses carry the
   /// responder's identity (Message::id3) so the origin can match the
   /// response to the right link.  More links buy shorter greedy routes for
-  /// proportionally more degree and inclrl/reslrl traffic (bench_ablation).
+  /// proportionally more degree and inclrl/reslrl traffic (a3-multilink).
   std::uint32_t lrl_count = 1;
 
   /// Crash-stop failure detector (extension; defaults off = paper

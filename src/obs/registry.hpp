@@ -188,7 +188,7 @@ class Registry {
 /// Flattens every metric of `registry` to (name, value) pairs, name-ordered
 /// within each kind: counters and gauges pass through verbatim; a histogram
 /// `h` becomes `h_count`, `h_mean`, and `h_p90`.  The one flattening rule
-/// shared by every scalar sink — google-benchmark counters (bench_common),
+/// shared by every scalar sink — google-benchmark counters (bench/),
 /// sweep cell metrics (analysis::run_sweep), CSV columns — so a metric shows
 /// up under the same flat name everywhere.
 std::vector<std::pair<std::string, double>> flatten(const Registry& registry);

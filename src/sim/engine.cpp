@@ -24,6 +24,12 @@ const char* to_string(SchedulerKind kind) noexcept {
   return "unknown";
 }
 
+std::optional<SchedulerKind> scheduler_from_string(std::string_view name) noexcept {
+  for (const SchedulerKind kind : kAllSchedulers)
+    if (name == to_string(kind)) return kind;
+  return std::nullopt;
+}
+
 Engine::Engine(EngineConfig config) : config_(config), rng_(config.seed) {
   SSSW_CHECK_MSG(
       config_.delivery_probability > 0.0 && config_.delivery_probability <= 1.0,

@@ -34,6 +34,12 @@ const char* to_string(InitialShape shape) noexcept {
   return "unknown";
 }
 
+std::optional<InitialShape> shape_from_string(std::string_view name) noexcept {
+  for (const InitialShape shape : kAllShapes)
+    if (name == to_string(shape)) return shape;
+  return std::nullopt;
+}
+
 namespace {
 
 /// Stores a directed link from → to in the only slot that can hold it

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/node.hpp"
@@ -35,6 +37,9 @@ inline constexpr InitialShape kAllShapes[] = {
 };
 
 const char* to_string(InitialShape shape) noexcept;
+
+/// Inverse of to_string; nullopt for an unknown name.
+std::optional<InitialShape> shape_from_string(std::string_view name) noexcept;
 
 struct InitialStateOptions {
   /// Additionally point every node's lrl at a uniformly random node (keeps

@@ -218,22 +218,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  topology::InitialShape shape = topology::InitialShape::kRandomChain;
-  for (const auto candidate : topology::kAllShapes)
-    if (shape_name == topology::to_string(candidate)) shape = candidate;
-
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kSynchronous;
-  bool scheduler_known = false;
-  for (const auto candidate : sim::kAllSchedulers) {
-    if (scheduler_name == sim::to_string(candidate)) {
-      scheduler = candidate;
-      scheduler_known = true;
-    }
+  const auto shape_kind = topology::shape_from_string(shape_name);
+  if (!shape_kind) {
+    std::fprintf(stderr, "unknown shape '%s'\n", shape_name.c_str());
+    return 1;
   }
-  if (!scheduler_known) {
+  const topology::InitialShape shape = *shape_kind;
+
+  const auto scheduler_kind = sim::scheduler_from_string(scheduler_name);
+  if (!scheduler_kind) {
     std::fprintf(stderr, "unknown scheduler '%s'\n", scheduler_name.c_str());
     return 1;
   }
+  const sim::SchedulerKind scheduler = *scheduler_kind;
 
   sim::FaultPlan faults;
   faults.duplicate_probability = fault_duplicate;

@@ -77,10 +77,11 @@ void Engine::add_process(std::unique_ptr<Process> process) {
   SSSW_CHECK_MSG(is_node_id(id), "process identifiers must be finite");
   SSSW_CHECK_MSG(!index_.contains(id), "duplicate process identifier");
   const std::size_t slot = slots_.size();
+  SSSW_CHECK_MSG(slot < IdIndex::kNone, "too many slots for a 32-bit index");
   slots_.push_back(Slot{std::move(process), Channel{}, /*rank=*/0,
                         util::derive_stream(config_.seed,
                                             std::bit_cast<std::uint64_t>(id))});
-  index_.emplace(id, slot);
+  index_.insert(id, static_cast<std::uint32_t>(slot));
   // Canonical ordering: insert at the slot's id-sorted position instead of
   // rebuilding from map iteration, so order_ is a pure function of the live
   // id set.  ids_sorted_ is the parallel identifier mirror behind id_span().
@@ -97,15 +98,14 @@ void Engine::add_process(std::unique_ptr<Process> process) {
 }
 
 bool Engine::remove_process(Id id, bool purge_references) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  const std::size_t slot_index = it->second;
+  const std::uint32_t slot_index = index_.find(id);
+  if (slot_index == IdIndex::kNone) return false;
   const std::size_t rank = slots_[slot_index].rank;
   SSSW_DCHECK(rank < order_.size() && order_[rank] == slot_index);
   pending_total_ -= slots_[slot_index].channel.size();
   slots_[slot_index].process.reset();
   slots_[slot_index].channel.clear();
-  index_.erase(it);
+  index_.erase(id);
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(rank));
   SSSW_DCHECK(rank < ids_sorted_.size() && ids_sorted_[rank] == id);
   ids_sorted_.erase(ids_sorted_.begin() + static_cast<std::ptrdiff_t>(rank));
@@ -166,14 +166,14 @@ void Engine::fire_due_timers() {
     std::stable_sort(due_timers_.begin(), due_timers_.end(),
                      [](const Timer& a, const Timer& b) { return a.id < b.id; });
     for (const Timer& timer : due_timers_) {
-      const auto it = index_.find(timer.id);
-      if (it == index_.end()) continue;  // process gone: the alarm lapses
+      const std::uint32_t slot_index = index_.find(timer.id);
+      if (slot_index == IdIndex::kNone) continue;  // process gone: the alarm lapses
       ++counters_.actions;
       ++counters_.timers;
       if (metrics_.actions) metrics_.actions->add();
       if (metrics_.timers) metrics_.timers->add();
-      Slot& slot = slots_[it->second];
-      Context ctx(*this, timer.id, &slot.rng, it->second, nullptr);
+      Slot& slot = slots_[slot_index];
+      Context ctx(*this, timer.id, &slot.rng, slot_index, nullptr);
       slot.process->on_timer(ctx, timer.tag);
     }
     due_timers_.clear();
@@ -181,43 +181,43 @@ void Engine::fire_due_timers() {
 }
 
 Process* Engine::find(Id id) noexcept {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : slots_[it->second].process.get();
+  const std::uint32_t slot = index_.find(id);
+  return slot == IdIndex::kNone ? nullptr : slots_[slot].process.get();
 }
 
 const Process* Engine::find(Id id) const noexcept {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : slots_[it->second].process.get();
+  const std::uint32_t slot = index_.find(id);
+  return slot == IdIndex::kNone ? nullptr : slots_[slot].process.get();
 }
 
 void Engine::for_each(const std::function<void(const Process&)>& fn) const {
   for (const std::size_t slot : order_) fn(*slots_[slot].process);
 }
 
-/// Places `message` into the channel of `to`, or counts a drop when the
-/// target departed or never existed.
-void Engine::enqueue_or_drop(Id to, const Message& message) {
-  const auto it = index_.find(to);
-  if (it == index_.end()) {
+/// Places `message` into the channel of slot `to_slot`, or counts a drop
+/// when the target departed or never existed (IdIndex::kNone).
+void Engine::enqueue_or_drop(std::uint32_t to_slot, const Message& message) {
+  if (to_slot == IdIndex::kNone) {
     ++counters_.dropped;
     if (metrics_.dropped) metrics_.dropped->add();
     return;
   }
-  Slot& slot = slots_[it->second];
+  Slot& slot = slots_[to_slot];
   slot.channel.push(message);
   ++pending_total_;
   if (use_fenwick_ && !fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);
 }
 
-void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message) {
+void Engine::dispatch_send(const PendingSend& send) {
+  const Message& message = send.message;
   SSSW_DCHECK(message.type < kMaxMessageTypes);
   ++counters_.sent_by_type[message.type];
-  for (const auto& [id, hook] : send_hooks_) hook(to, message);
+  for (const auto& [id, hook] : send_hooks_) hook(send.to, message);
   // Loss and fault fates draw from the *sender's* stream: each process's
   // draw sequence (protocol flips during its action, then the fates of its
   // own sends in issue order) is then a pure function of (state, seed),
   // independent of how many lanes executed the phase.
-  Slot& sender = slots_[from_slot];
+  Slot& sender = slots_[send.from_slot];
   if (config_.message_loss > 0.0 &&
       sender.rng.bernoulli(config_.message_loss)) {
     ++counters_.lost;
@@ -225,7 +225,7 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
     return;
   }
   if (!faults_) {
-    enqueue_or_drop(to, message);
+    enqueue_or_drop(send.to_slot, message);
     return;
   }
   // The injector decides the fate of this send; the engine keeps all the
@@ -234,7 +234,7 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   // hooks, so a send capture shows what the protocol did, not what the
   // adversary fabricated.
   const FaultInjector::SendDecision decision = faults_->on_send(
-      sender.process->id(), to, message, counters_.rounds + 1, sender.rng);
+      sender.process->id(), send.to, message, counters_.rounds + 1, sender.rng);
   if (decision.duplicated) {
     ++counters_.faults.duplicated;
     if (metrics_.faults_duplicated) metrics_.faults_duplicated->add();
@@ -248,19 +248,53 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
     if (metrics_.faults_partition_dropped)
       metrics_.faults_partition_dropped->add();
   }
-  if (decision.deliver_now) enqueue_or_drop(to, message);
-  if (decision.duplicate_now) enqueue_or_drop(to, message);
+  if (decision.deliver_now) enqueue_or_drop(send.to_slot, message);
+  if (decision.duplicate_now) enqueue_or_drop(send.to_slot, message);
   if (decision.has_replay) {
     ++counters_.faults.replayed;
     if (metrics_.faults_replayed) metrics_.faults_replayed->add();
-    enqueue_or_drop(decision.replay_to, decision.replay_message);
+    enqueue_or_drop(index_.find(decision.replay_to), decision.replay_message);
+  }
+}
+
+void Engine::route_outbox(Slot& sender, EngineLane& lane,
+                          const util::ChunkBounds& split) {
+  // The same draws, in the same order, that dispatch_send would make at a
+  // sequential merge: nothing touches the sender's stream between its last
+  // action of the phase and this loop.
+  for (const PendingSend& send : lane.outbox) {
+    SSSW_DCHECK(send.message.type < kMaxMessageTypes);
+    ++lane.sent_by_type[send.message.type];
+    if (config_.message_loss > 0.0 &&
+        sender.rng.bernoulli(config_.message_loss)) {
+      ++lane.lost;
+    } else if (send.to_slot == IdIndex::kNone) {
+      ++lane.dropped;
+    } else {
+      lane.routed[split.chunk_of(send.to_slot)].push_back(
+          RoutedSend{send.to_slot, send.message});
+    }
+  }
+  lane.outbox.clear();
+}
+
+void Engine::append_routed(std::size_t lanes, std::size_t dest) {
+  // Source lanes cover ascending rank ranges and route in rank order, so
+  // this concatenation is every channel's canonical (sender rank, send
+  // order) sequence.  Only lane `dest` writes these channels.
+  EngineLane& out = lanes_[dest];
+  for (std::size_t source = 0; source < lanes; ++source) {
+    std::vector<RoutedSend>& bucket = lanes_[source].routed[dest];
+    for (const RoutedSend& send : bucket) slots_[send.to_slot].channel.push(send.message);
+    out.appended += bucket.size();
+    bucket.clear();
   }
 }
 
 bool Engine::inject(Id to, const Message& message) {
-  const auto it = index_.find(to);
-  if (it == index_.end()) return false;
-  Slot& slot = slots_[it->second];
+  const std::uint32_t slot_index = index_.find(to);
+  if (slot_index == IdIndex::kNone) return false;
+  Slot& slot = slots_[slot_index];
   slot.channel.push(message);
   ++pending_total_;
   if (use_fenwick_ && !fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);
@@ -303,22 +337,34 @@ std::size_t Engine::effective_lanes(std::size_t n) const noexcept {
 void Engine::merge_lanes(std::size_t lanes) {
   for (std::size_t i = 0; i < lanes; ++i) {
     EngineLane& lane = lanes_[i];
+    std::uint64_t sent = lane.outbox.size();
+    for (std::size_t type = 0; type < kMaxMessageTypes; ++type) {
+      sent += lane.sent_by_type[type];
+      counters_.sent_by_type[type] += lane.sent_by_type[type];
+    }
+    lane.sent_by_type = {};
     counters_.actions += lane.actions;
     counters_.deliveries += lane.deliveries;
+    counters_.lost += lane.lost;
+    counters_.dropped += lane.dropped;
     // The registry learns a lane's tallies in bulk, here, rather than once
     // per action from inside the lane.
     if (metrics_.actions) metrics_.actions->add(lane.actions);
     if (metrics_.delivered) metrics_.delivered->add(lane.deliveries);
-    if (metrics_.sent) metrics_.sent->add(lane.outbox.size());
-    pending_total_ -= lane.drained;
+    if (metrics_.sent) metrics_.sent->add(sent);
+    if (metrics_.lost) metrics_.lost->add(lane.lost);
+    if (metrics_.dropped) metrics_.dropped->add(lane.dropped);
+    pending_total_ = pending_total_ - lane.drained + lane.appended;
     lane.actions = 0;
     lane.deliveries = 0;
+    lane.lost = 0;
+    lane.dropped = 0;
     lane.drained = 0;
-    // Lanes cover contiguous rank ranges and each lane appends in rank
-    // order, so this concatenation IS the canonical (sender rank, send
-    // order) sequence — the same sequence for every shard count.
-    for (const PendingSend& send : lane.outbox)
-      dispatch_send(send.from_slot, send.to, send.message);
+    lane.appended = 0;
+    // Sequential merge: lanes cover contiguous rank ranges and each lane
+    // buffers in rank order, so this concatenation IS the canonical (sender
+    // rank, send order) sequence — the same sequence for every shard count.
+    for (const PendingSend& send : lane.outbox) dispatch_send(send);
     lane.outbox.clear();
     for (const EngineLane::TimerArm& arm : lane.timer_arms)
       schedule_timer(arm.id, arm.delay, arm.tag);
@@ -336,6 +382,24 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
   if (lanes_.size() < lanes) lanes_.resize(lanes);
   if (arrivals_.size() < slots_.size()) arrivals_.resize(slots_.size());
   const bool delayed = config_.scheduler == SchedulerKind::kDelayedRandom;
+  // The destination merge needs every send's fate to depend only on its
+  // sender; the injector's held/replay state and the send hooks are shared
+  // and ordered, so either one keeps the sequential merge.
+  const bool by_destination = !faults_ && send_hooks_.empty();
+  SSSW_DCHECK(!use_fenwick_);  // appends skip the async-only Fenwick index
+  // Destination lane d owns the channels of the d-th contiguous slot range:
+  // any fixed owner per channel preserves its append order, and a slot (not
+  // its rank) is what the send already holds.
+  const util::ChunkBounds split(slots_.size(), lanes);
+  if (by_destination)
+    for (std::size_t lane = 0; lane < lanes; ++lane) lanes_[lane].routed.resize(lanes);
+  const auto append_all = [&] {
+    if (!by_destination) return;
+    util::parallel_for_chunked(
+        lanes, lanes, [&](std::size_t dest, std::size_t, std::size_t) {
+          append_routed(lanes, dest);
+        });
+  };
 
   // Phase A0: snapshot every channel *before* any delivery, so that messages
   // sent while processing this round's arrivals are delivered next round
@@ -373,8 +437,10 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
           for (const Message& message : messages)
             deliver_buffered(slot, slot_index, message, out);
           messages.clear();
+          if (by_destination) route_outbox(slot, out, split);
         }
       });
+  append_all();
   merge_lanes(lanes);
 
   // Phase B: every node executes its (always enabled) regular action.
@@ -387,8 +453,10 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
           ++out.actions;
           Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &out);
           slot.process->on_regular(ctx);
+          if (by_destination) route_outbox(slot, out, split);
         }
       });
+  append_all();
   merge_lanes(lanes);
   finish_round();
 }
@@ -441,7 +509,7 @@ void Engine::release_due_messages() {
   if (!faults_) return;
   faults_->collect_due(counters_.rounds, released_);
   for (const FaultInjector::Held& held : released_)
-    enqueue_or_drop(held.to, held.message);
+    enqueue_or_drop(index_.find(held.to), held.message);
   released_.clear();
 }
 

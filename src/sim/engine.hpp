@@ -13,56 +13,88 @@
 //     random-async action picks);
 //   * synchronous-family rounds split each phase over `shards` contiguous
 //     rank ranges.  Worker lanes buffer their side effects (sends, timer
-//     arms, counter deltas) and a sequential merge at the phase barrier
-//     applies them in canonical (sender rank, send order); contiguous
-//     partitioning makes that concatenation identical for every shard
-//     count, so trajectories are bit-identical across shards ∈ {1, 2, …}.
+//     arms, counter deltas); every channel then receives its messages in
+//     canonical (sender rank, send order), which contiguous partitioning
+//     makes the same sequence for every shard count, so trajectories are
+//     bit-identical across shards ∈ {1, 2, …}.  Without a fault injector or
+//     send hook, each lane draws its senders' loss fates right after their
+//     actions and buckets the survivors by the lane that owns their
+//     destination channel (contiguous slot ranges), and each lane then
+//     appends the buckets for its channels in source-lane order — the
+//     destination merge, in parallel.  With either one present, their
+//     shared ordered state forces the sequential merge at the barrier.
+//     Timer arms are always applied sequentially, in lane order.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
 #include "sim/channel.hpp"
 #include "sim/faults.hpp"
+#include "sim/id_index.hpp"
 #include "sim/message.hpp"
 #include "sim/scheduler.hpp"
 #include "util/fenwick.hpp"
 #include "util/rng.hpp"
 
+namespace sssw::util {
+struct ChunkBounds;
+}  // namespace sssw::util
+
 namespace sssw::sim {
 
 class Engine;
 
-/// Engine-internal: one buffered send awaiting the phase barrier.  Parallel
-/// phases must not touch channels, counters, or another process's stream, so
-/// Context::send records (who, where, what) and the merge does the rest.
+/// Engine-internal: one buffered send.  Parallel phases must not touch
+/// channels, shared counters, or another process's stream, so Context::send
+/// records (who, where, what) — with the destination already resolved to its
+/// slot, IdIndex::kNone if no such process — and a merge does the rest.
+/// Slots are never reused and membership cannot change inside a round, so
+/// the resolution stays valid until the merge.
 struct PendingSend {
-  std::size_t from_slot;
+  std::uint32_t from_slot;
+  std::uint32_t to_slot;
   Id to;
+  Message message;
+};
+// Lane outboxes hold a phase's sends; 32-bit slots keep them this small.
+static_assert(sizeof(PendingSend) == 48);
+
+/// Engine-internal: a send that survived its loss draw, bucketed for the lane
+/// that owns its destination channel (the destination merge).
+struct RoutedSend {
+  std::uint32_t to_slot;
   Message message;
 };
 
 /// Engine-internal: one shard lane's buffered side effects for the current
-/// phase.  Lanes are merged sequentially in lane order at the barrier.
-struct EngineLane {
+/// phase.  Cache-line aligned: lanes bump their tallies on every action.
+struct alignas(64) EngineLane {
   struct TimerArm {
     Id id;
     std::uint32_t delay;
     std::uint64_t tag;
   };
+  /// Sequential merge: every send of the phase.  Destination merge: only
+  /// the current sender's sends, until they are routed.
   std::vector<PendingSend> outbox;
+  /// Destination merge: surviving sends by destination lane, each bucket in
+  /// (sender rank, send order).
+  std::vector<std::vector<RoutedSend>> routed;
   std::vector<TimerArm> timer_arms;
+  std::array<std::uint64_t, kMaxMessageTypes> sent_by_type{};  ///< routed sends
   std::uint64_t actions = 0;
   std::uint64_t deliveries = 0;
-  std::size_t drained = 0;  ///< messages taken out of channels this phase
+  std::uint64_t lost = 0;       ///< routed sends eaten by the loss model
+  std::uint64_t dropped = 0;    ///< routed sends to unknown identifiers
+  std::size_t drained = 0;      ///< messages taken out of channels this phase
+  std::size_t appended = 0;     ///< messages this lane appended to channels
 };
 
 /// The face of the engine a process sees while executing one atomic action.
@@ -95,14 +127,14 @@ class Context {
       : engine_(engine),
         self_(self),
         rng_(rng),
-        from_slot_(from_slot),
+        from_slot_(static_cast<std::uint32_t>(from_slot)),
         lane_(lane) {}
   Engine& engine_;
   Id self_;  ///< the acting process (the fault layer's partition filter
              ///< needs the sender, which a Message does not carry)
-  util::Rng* rng_;         ///< the acting process's slot stream
-  std::size_t from_slot_;  ///< the acting process's slot index
-  EngineLane* lane_;       ///< non-null inside a parallel phase: buffer here
+  util::Rng* rng_;           ///< the acting process's slot stream
+  std::uint32_t from_slot_;  ///< the acting process's slot index
+  EngineLane* lane_;         ///< non-null inside a parallel phase: buffer here
 };
 
 /// Cheap protocol tag: hot inspection paths (invariant predicates, views,
@@ -204,7 +236,8 @@ class Engine {
   Engine(Engine&&) = default;
   Engine& operator=(Engine&&) = default;
 
-  /// Registers a process.  Identifiers must be unique and finite.  O(n − r)
+  /// Registers a process.  Identifiers must be unique and finite (-0.0 and
+  /// 0.0 are the same identifier).  O(n − r)
   /// for rank r (the sorted-order insert shift), so ascending bulk loads are
   /// O(1) amortized per node — million-node networks build in linear time.
   void add_process(std::unique_ptr<Process> process);
@@ -333,19 +366,6 @@ class Engine {
     util::Rng rng{0};
   };
 
-  /// Hash for the identifier index: one multiply-xorshift over the id's
-  /// bits.  Ids are finite doubles (validated at add), so there is no
-  /// -0.0/NaN aliasing to worry about and bit identity is value identity.
-  struct IdHash {
-    std::size_t operator()(Id id) const noexcept {
-      std::uint64_t x = std::bit_cast<std::uint64_t>(id);
-      x ^= x >> 33;
-      x *= 0xff51afd7ed558ccdull;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
-  };
-
   /// Cached metric handles (registry-owned); all null when detached, so the
   /// hot paths pay one branch.  Lanes never touch them: merge_lanes adds
   /// each lane's tallies in bulk.
@@ -367,12 +387,18 @@ class Engine {
 
   /// Counts the send by type, fires send hooks, draws the loss/fault fate
   /// from the *sender's* stream, and routes the survivors.  Called inline
-  /// from sequential contexts and from the phase merge for buffered sends —
-  /// same code, same stream, same order either way.  The registry's
+  /// from sequential contexts and from the sequential merge for buffered
+  /// sends — same code, same stream, same order either way.  The registry's
   /// engine.messages.sent is counted by the caller: per send in
   /// Context::send, per lane in merge_lanes.
-  void dispatch_send(std::size_t from_slot, Id to, const Message& message);
-  void enqueue_or_drop(Id to, const Message& message);
+  void dispatch_send(const PendingSend& send);
+  /// Destination merge, in the lane, after each sender's actions: draws the
+  /// loss fates of the sender's buffered sends and buckets the survivors.
+  void route_outbox(Slot& sender, EngineLane& lane, const util::ChunkBounds& split);
+  /// Destination merge: lane `dest` appends every source lane's bucket for
+  /// it to its own channels, in source-lane order.
+  void append_routed(std::size_t lanes, std::size_t dest);
+  void enqueue_or_drop(std::uint32_t to_slot, const Message& message);
   void release_due_messages();
   void fire_due_timers();
   /// Sequential delivery (async scheduler, deliver_pending_once).
@@ -383,7 +409,8 @@ class Engine {
   void run_synchronous_round(ReceiptOrder order);
   void run_async_round();
   void finish_round();
-  /// Applies every lane's buffered effects in lane order (sequential).
+  /// Applies every lane's buffered effects in lane order (sequential): the
+  /// tallies, the timer arms, and — on the sequential-merge path — the sends.
   void merge_lanes(std::size_t lanes);
   /// Lanes for a round over `n` processes: config shards, capped by n.
   std::size_t effective_lanes(std::size_t n) const noexcept;
@@ -399,10 +426,12 @@ class Engine {
   // exact fault-free code of earlier revisions.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<FaultInjector::Held> released_;  // collect_due scratch, reused
-  // Identifier → slot index.  Hashed: the send path pays O(1) per lookup
-  // instead of a red-black descent.  Never iterated (order_ is the canonical
-  // iteration order), so the unordered layout cannot leak into trajectories.
-  std::unordered_map<Id, std::size_t, IdHash> index_;
+  // Identifier → slot index: a flat open-addressing table, so a send's
+  // lookup is one hash and usually one cache line.  Lanes read it
+  // concurrently; only add/remove_process (sequential) write it.  Never
+  // iterated (order_ is the canonical iteration order), so its layout
+  // cannot leak into trajectories.
+  IdIndex index_;
   std::vector<Slot> slots_;        // dense storage; holes after removal
   // Canonical scheduling order: live slot indices, ascending by node id,
   // maintained by sorted insert/erase (never rebuilt from map/hash
@@ -445,16 +474,18 @@ class Engine {
 
 // --- Context inline fast paths ---------------------------------------------
 // send() is the hottest engine call (every protocol action fires several);
-// in a lane it is one push_back, with the real dispatch deferred to the
-// merge.  Defined here, after Engine, so the calls inline into protocol code.
+// in a lane it is an index lookup and one push_back, with the real dispatch
+// deferred to the merge.  Defined here, after Engine, so the calls inline
+// into protocol code.
 
 inline void Context::send(Id to, const Message& message) {
+  const PendingSend send{from_slot_, engine_.index_.find(to), to, message};
   if (lane_ != nullptr) {
-    lane_->outbox.push_back(PendingSend{from_slot_, to, message});
+    lane_->outbox.push_back(send);
     return;
   }
   if (engine_.metrics_.sent) engine_.metrics_.sent->add();
-  engine_.dispatch_send(from_slot_, to, message);
+  engine_.dispatch_send(send);
 }
 
 inline util::Rng& Context::rng() { return *rng_; }

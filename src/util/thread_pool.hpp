@@ -67,11 +67,35 @@ ThreadPool& shared_pool();
 /// serially when count <= 1 (no pool is ever constructed in that case).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
+/// The contiguous split of [0, count) into `chunks` ranges (1 <= chunks <=
+/// count) that parallel_for_chunked runs: chunk c is [begin(c), begin(c+1)),
+/// and the first count % chunks chunks are one element longer.  chunk_of
+/// inverts it, so code that keys work to chunk identity (the engine's
+/// channel → lane owner map) shares this one definition.
+struct ChunkBounds {
+  ChunkBounds(std::size_t count, std::size_t chunks) noexcept
+      : base(count / chunks), extra(count % chunks) {}
+
+  std::size_t begin(std::size_t chunk) const noexcept {
+    return chunk * base + (chunk < extra ? chunk : extra);
+  }
+
+  /// The chunk holding `index` (index < count).
+  std::size_t chunk_of(std::size_t index) const noexcept {
+    const std::size_t long_part = extra * (base + 1);
+    return index < long_part ? index / (base + 1)
+                             : extra + (index - long_part) / base;
+  }
+
+  std::size_t base;
+  std::size_t extra;
+};
+
 /// Chunked, template-based parallel_for: splits [0, count) into at most
-/// `chunks` contiguous ranges and invokes body(chunk_index, begin, end) once
-/// per range.  The per-element std::function indirection of the index
-/// overload is gone — body is type-erased once per *chunk*, and the element
-/// loop inside it inlines.  This is what the sharded engine round and the
+/// `chunks` contiguous ranges (ChunkBounds) and invokes body(chunk_index,
+/// begin, end) once per range.  The per-element std::function indirection of
+/// the index overload is gone — body is type-erased once per *chunk*, and the
+/// element loop inside it inlines.  This is what the sharded engine round and the
 /// seed-parallel sweep drivers use.  Chunk boundaries are a pure function of
 /// (count, chunks), so callers that key determinism to chunk identity (the
 /// engine's shard lanes) get identical splits on every run.  Blocks until
@@ -86,20 +110,16 @@ void parallel_for_chunked(std::size_t count, std::size_t chunks, Body&& body) {
     body(std::size_t{0}, std::size_t{0}, count);
     return;
   }
-  const std::size_t base = count / chunks;
-  const std::size_t extra = count % chunks;  // first `extra` chunks get +1
-  auto bounds = [base, extra](std::size_t c) noexcept {
-    return c * base + (c < extra ? c : extra);
-  };
+  const ChunkBounds split(count, chunks);
   std::vector<std::future<void>> futures;
   futures.reserve(chunks - 1);
   for (std::size_t c = 1; c < chunks; ++c) {
     futures.push_back(shared_pool().submit(
-        [&body, bounds, c] { body(c, bounds(c), bounds(c + 1)); }));
+        [&body, split, c] { body(c, split.begin(c), split.begin(c + 1)); }));
   }
   std::exception_ptr first_error;
   try {
-    body(std::size_t{0}, bounds(0), bounds(1));  // caller participates
+    body(std::size_t{0}, split.begin(0), split.begin(1));  // caller participates
   } catch (...) {
     first_error = std::current_exception();
   }

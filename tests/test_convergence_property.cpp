@@ -154,8 +154,8 @@ INSTANTIATE_TEST_SUITE_P(AllShapes, PhaseMonotonicity,
                          ::testing::ValuesIn(std::vector<InitialShape>(
                              std::begin(topology::kAllShapes),
                              std::end(topology::kAllShapes))),
-                         [](const ::testing::TestParamInfo<InitialShape>& info) {
-                           std::string name = topology::to_string(info.param);
+                         [](const ::testing::TestParamInfo<InitialShape>& param_info) {
+                           std::string name = topology::to_string(param_info.param);
                            for (char& ch : name)
                              if (ch == '-') ch = '_';
                            return name;

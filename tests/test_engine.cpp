@@ -51,6 +51,26 @@ TEST(Engine, AddAndFind) {
   EXPECT_EQ(engine.find(0.7), nullptr);
 }
 
+TEST(Engine, NegativeZeroIsTheSameIdAsZero) {
+  // 0.0 == -0.0 but their bits differ: the id index must key on the value,
+  // so -0.0 resolves to the live 0.0 process and cannot register twice.
+  Engine engine = make_engine();
+  for (int i = 1; i <= 1000; ++i)
+    engine.add_process(std::make_unique<Probe>(i / 1001.0));
+  engine.add_process(std::make_unique<Probe>(0.0, -0.0));
+  EXPECT_TRUE(engine.contains(-0.0));
+  EXPECT_EQ(engine.find(-0.0), engine.find(0.0));
+  EXPECT_DEATH(engine.add_process(std::make_unique<Probe>(-0.0)),
+               "duplicate process identifier");
+  // A send addressed to -0.0 reaches the 0.0 process instead of dropping.
+  ASSERT_TRUE(engine.inject(-0.0, Message{.type = 3}));
+  engine.run_rounds(2);
+  const auto* zero = static_cast<const Probe*>(engine.find(0.0));
+  EXPECT_EQ(zero->received.size(), 2u);
+  EXPECT_EQ(engine.counters().dropped, 0u);
+  EXPECT_EQ(engine.process_count(), 1001u);
+}
+
 TEST(Engine, IdsAreSorted) {
   Engine engine = make_engine();
   engine.add_process(std::make_unique<Probe>(0.9));

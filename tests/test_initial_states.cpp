@@ -58,8 +58,12 @@ TEST_P(ShapeTest, AllReferencedIdsExist) {
     return std::binary_search(ids.begin(), ids.end(), id);
   };
   for (const NodeInit& init : inits) {
-    if (init.l != kNegInf) EXPECT_TRUE(exists(init.l));
-    if (init.r != kPosInf) EXPECT_TRUE(exists(init.r));
+    if (init.l != kNegInf) {
+      EXPECT_TRUE(exists(init.l));
+    }
+    if (init.r != kPosInf) {
+      EXPECT_TRUE(exists(init.r));
+    }
     EXPECT_TRUE(exists(init.lrl));
     EXPECT_TRUE(exists(init.ring));
   }
@@ -80,12 +84,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kAllShapes),
                        ::testing::Values(2, 3, 16, 64),
                        ::testing::Values(1, 2, 3)),
-    [](const auto& info) {
-      std::string name = to_string(std::get<0>(info.param));
+    [](const auto& param_info) {
+      std::string name = to_string(std::get<0>(param_info.param));
       for (char& ch : name)
         if (ch == '-') ch = '_';
-      return name + "_n" + std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+      return name + "_n" + std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(InitialStates, SortedRingShapeIsAlreadyStable) {

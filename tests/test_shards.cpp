@@ -19,6 +19,10 @@
 // active probe/ack failure detector with its timers, and mid-run
 // crash-stops.  If any of those drew from a shared stream, or if lane
 // merge order depended on the partition, these digests would diverge.
+// A fault injector forces the engine's sequential merge, so a second,
+// fault-free trial (loss, detector, lookups, crashes) covers the parallel
+// destination merge, and pins its digests to absolute values: a twin
+// comparison cannot see a change that moves every shard count alike.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -116,6 +120,17 @@ std::uint64_t lookup_digest(const service::LookupManager::Totals& t) {
   return hash;
 }
 
+/// Folds the flattened registry (metric names and values in order).
+std::uint64_t metrics_digest(
+    const std::vector<std::pair<std::string, double>>& metrics) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const auto& [name, value] : metrics) {
+    for (const char ch : name) hash = fnv1a(hash, static_cast<unsigned char>(ch));
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(value));
+  }
+  return hash;
+}
+
 struct TrialDigest {
   std::uint64_t rounds = 0;
   std::uint64_t counters = 0;
@@ -126,11 +141,14 @@ struct TrialDigest {
   bool operator==(const TrialDigest&) const = default;
 };
 
-/// One adversarial trial: 32 nodes from a random tree, loss + duplication +
-/// delay + replay faults, the active detector, open-loop lookup load with
-/// retries and hedging, two mid-run crash-stops, a registry attached.
+enum class Faults : bool { kOff, kOn };
+
+/// One adversarial trial: 32 nodes from a random tree, 5% message loss, the
+/// active detector, open-loop lookup load with retries and hedging, two
+/// mid-run crash-stops, a registry attached — and with Faults::kOn also
+/// duplication + delay + replay faults.
 TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, Faults faults = Faults::kOn) {
   NetworkOptions options;
   options.scheduler = scheduler;
   options.seed = seed;
@@ -138,11 +156,13 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
   options.message_loss = 0.05;
   options.delivery_probability = 0.5;
   options.adversary_delay = 3;
-  options.faults.duplicate_probability = 0.10;
-  options.faults.delay_probability = 0.10;
-  options.faults.max_delay_rounds = 3;
-  options.faults.replay_probability = 0.05;
-  options.faults.replay_history = 4;
+  if (faults == Faults::kOn) {
+    options.faults.duplicate_probability = 0.10;
+    options.faults.delay_probability = 0.10;
+    options.faults.max_delay_rounds = 3;
+    options.faults.replay_probability = 0.05;
+    options.faults.replay_history = 4;
+  }
   options.protocol.detector.enabled = true;
 
   util::Rng rng(seed);
@@ -196,6 +216,46 @@ TEST(Shards, TwinRunsMatchAcrossShardCountsForEveryScheduler) {
           << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
       EXPECT_EQ(twin.metrics, baseline.metrics)
           << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
+    }
+  }
+}
+
+/// The fault-free trial's digests at seed 20120521, recorded with every
+/// send merged sequentially; the destination merge must reproduce them.
+struct Pin {
+  sim::SchedulerKind scheduler;
+  std::uint64_t rounds;
+  std::uint64_t counters;
+  std::uint64_t state;
+  std::uint64_t lookups;
+  std::uint64_t metrics;
+};
+
+constexpr Pin kFaultFreePins[] = {
+    {sim::SchedulerKind::kSynchronous, 150, 0x63363d911151a686ull,
+     0x1518d7bc0d9d2fbfull, 0x45fe89743b42b10dull, 0xfd6de0ad78c7db2cull},
+    {sim::SchedulerKind::kRandomAsync, 150, 0x6e39c8dc20a36febull,
+     0xdfb1d0f265d76180ull, 0xe942e428dad047a4ull, 0xba57a0ba615a6ee9ull},
+    {sim::SchedulerKind::kDelayedRandom, 150, 0x160184b6c18cba9full,
+     0x313bab23da2f9d8full, 0x48e32cd48ef2e6cbull, 0x17c169fc453688a9ull},
+    {sim::SchedulerKind::kAdversarialLifo, 150, 0xa6217d495527f3d4ull,
+     0x7f949f49cf1bd6a6ull, 0x605e4eb928cedae3ull, 0x4d90e7695a64c4c0ull},
+};
+
+TEST(Shards, FaultFreeTrialsMatchTheirPinsAtEveryShardCount) {
+  // Every scheduler that runs without a FaultInjector (all but
+  // kAdversarialOldestLast, whose hold queue is one).
+  for (const Pin& pin : kFaultFreePins) {
+    for (const std::size_t shards : kShardCounts) {
+      const TrialDigest digest =
+          run_trial(pin.scheduler, shards, 20120521, Faults::kOff);
+      const std::string where = std::string(sim::to_string(pin.scheduler)) +
+                                " shards " + std::to_string(shards);
+      EXPECT_EQ(digest.rounds, pin.rounds) << where;
+      EXPECT_EQ(digest.counters, pin.counters) << where;
+      EXPECT_EQ(digest.state, pin.state) << where;
+      EXPECT_EQ(digest.lookups, pin.lookups) << where;
+      EXPECT_EQ(metrics_digest(digest.metrics), pin.metrics) << where;
     }
   }
 }

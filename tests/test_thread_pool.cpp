@@ -117,5 +117,23 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
     EXPECT_EQ(results[i], static_cast<long>(i * (i + 1) / 2));
 }
 
+TEST(ChunkBounds, ChunkOfInvertsTheSplitThatParallelForChunkedRuns) {
+  for (std::size_t count = 1; count <= 40; ++count) {
+    for (std::size_t chunks = 1; chunks <= count; ++chunks) {
+      const ChunkBounds split(count, chunks);
+      std::vector<std::size_t> owner(count, chunks);
+      parallel_for_chunked(count, chunks,
+                           [&](std::size_t c, std::size_t begin, std::size_t end) {
+                             EXPECT_EQ(begin, split.begin(c));
+                             EXPECT_EQ(end, split.begin(c + 1));
+                             for (std::size_t i = begin; i < end; ++i) owner[i] = c;
+                           });
+      EXPECT_EQ(split.begin(chunks), count);
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(split.chunk_of(i), owner[i]) << count << "/" << chunks << " @" << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sssw::util

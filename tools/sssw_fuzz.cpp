@@ -123,8 +123,9 @@ int main(int argc, char** argv) {
            "also write a reproducer for every passing trial (corpus building)",
            &emit_all);
   cli.flag("shards",
-           "worker lanes for replay (trajectories are shard-count-invariant; "
-           "any value must reproduce the recorded verdict)",
+           "worker lanes for fuzz trials and replay (trajectories are "
+           "shard-count-invariant; any value must reproduce the recorded "
+           "verdict)",
            &shards);
   cli.flag("paranoid",
            "cross-check the incremental invariant tracker against the "
@@ -146,6 +147,7 @@ int main(int argc, char** argv) {
   }
   analysis::FuzzOptions options;
   options.paranoid = paranoid;
+  options.shards = static_cast<std::size_t>(shards);
   if (!invert_name.empty()) {
     const auto oracle = analysis::oracle_from_string(invert_name);
     if (!oracle) {

@@ -7,6 +7,15 @@
 #include "util/thread_pool.hpp"
 
 namespace sssw::sim {
+namespace {
+
+/// Parts per worker lane in a sharded round.  A lane runs its own block of
+/// parts first and then takes the parts other lanes have not started, so a
+/// lane on a slow or busy core hands work to the others instead of holding
+/// the barrier; eight keeps a part at a few milliseconds of work at n=10^5.
+constexpr std::size_t kPartsPerLane = 8;
+
+}  // namespace
 
 const char* to_string(SchedulerKind kind) noexcept {
   switch (kind) {
@@ -257,34 +266,34 @@ void Engine::dispatch_send(const PendingSend& send) {
   }
 }
 
-void Engine::route_outbox(Slot& sender, EngineLane& lane,
+void Engine::route_outbox(Slot& sender, EnginePart& part,
                           const util::ChunkBounds& split) {
   // The same draws, in the same order, that dispatch_send would make at a
   // sequential merge: nothing touches the sender's stream between its last
   // action of the phase and this loop.
-  for (const PendingSend& send : lane.outbox) {
+  for (const PendingSend& send : part.outbox) {
     SSSW_DCHECK(send.message.type < kMaxMessageTypes);
-    ++lane.sent_by_type[send.message.type];
+    ++part.sent_by_type[send.message.type];
     if (config_.message_loss > 0.0 &&
         sender.rng.bernoulli(config_.message_loss)) {
-      ++lane.lost;
+      ++part.lost;
     } else if (send.to_slot == IdIndex::kNone) {
-      ++lane.dropped;
+      ++part.dropped;
     } else {
-      lane.routed[split.chunk_of(send.to_slot)].push_back(
+      part.routed[split.chunk_of(send.to_slot)].push_back(
           RoutedSend{send.to_slot, send.message});
     }
   }
-  lane.outbox.clear();
+  part.outbox.clear();
 }
 
-void Engine::append_routed(std::size_t lanes, std::size_t dest) {
-  // Source lanes cover ascending rank ranges and route in rank order, so
+void Engine::append_routed(std::size_t parts, std::size_t dest) {
+  // Source parts cover ascending rank ranges and route in rank order, so
   // this concatenation is every channel's canonical (sender rank, send
   // order) sequence.  Only lane `dest` writes these channels.
-  EngineLane& out = lanes_[dest];
-  for (std::size_t source = 0; source < lanes; ++source) {
-    std::vector<RoutedSend>& bucket = lanes_[source].routed[dest];
+  EnginePart& out = parts_[dest];
+  for (std::size_t source = 0; source < parts; ++source) {
+    std::vector<RoutedSend>& bucket = parts_[source].routed[dest];
     for (const RoutedSend& send : bucket) slots_[send.to_slot].channel.push(send.message);
     out.appended += bucket.size();
     bucket.clear();
@@ -311,10 +320,10 @@ void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message)
 }
 
 void Engine::deliver_buffered(Slot& slot, std::size_t slot_index,
-                              const Message& message, EngineLane& lane) {
-  ++lane.deliveries;
-  ++lane.actions;
-  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &lane);
+                              const Message& message, EnginePart& part) {
+  ++part.deliveries;
+  ++part.actions;
+  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &part);
   slot.process->on_message(ctx, message);
 }
 
@@ -334,41 +343,41 @@ std::size_t Engine::effective_lanes(std::size_t n) const noexcept {
   return std::min(config_.shards, n);
 }
 
-void Engine::merge_lanes(std::size_t lanes) {
-  for (std::size_t i = 0; i < lanes; ++i) {
-    EngineLane& lane = lanes_[i];
-    std::uint64_t sent = lane.outbox.size();
+void Engine::merge_parts(std::size_t parts) {
+  for (std::size_t i = 0; i < parts; ++i) {
+    EnginePart& part = parts_[i];
+    std::uint64_t sent = part.outbox.size();
     for (std::size_t type = 0; type < kMaxMessageTypes; ++type) {
-      sent += lane.sent_by_type[type];
-      counters_.sent_by_type[type] += lane.sent_by_type[type];
+      sent += part.sent_by_type[type];
+      counters_.sent_by_type[type] += part.sent_by_type[type];
     }
-    lane.sent_by_type = {};
-    counters_.actions += lane.actions;
-    counters_.deliveries += lane.deliveries;
-    counters_.lost += lane.lost;
-    counters_.dropped += lane.dropped;
-    // The registry learns a lane's tallies in bulk, here, rather than once
-    // per action from inside the lane.
-    if (metrics_.actions) metrics_.actions->add(lane.actions);
-    if (metrics_.delivered) metrics_.delivered->add(lane.deliveries);
+    part.sent_by_type = {};
+    counters_.actions += part.actions;
+    counters_.deliveries += part.deliveries;
+    counters_.lost += part.lost;
+    counters_.dropped += part.dropped;
+    // The registry learns a part's tallies in bulk, here, rather than once
+    // per action from inside the part.
+    if (metrics_.actions) metrics_.actions->add(part.actions);
+    if (metrics_.delivered) metrics_.delivered->add(part.deliveries);
     if (metrics_.sent) metrics_.sent->add(sent);
-    if (metrics_.lost) metrics_.lost->add(lane.lost);
-    if (metrics_.dropped) metrics_.dropped->add(lane.dropped);
-    pending_total_ = pending_total_ - lane.drained + lane.appended;
-    lane.actions = 0;
-    lane.deliveries = 0;
-    lane.lost = 0;
-    lane.dropped = 0;
-    lane.drained = 0;
-    lane.appended = 0;
-    // Sequential merge: lanes cover contiguous rank ranges and each lane
+    if (metrics_.lost) metrics_.lost->add(part.lost);
+    if (metrics_.dropped) metrics_.dropped->add(part.dropped);
+    pending_total_ = pending_total_ - part.drained + part.appended;
+    part.actions = 0;
+    part.deliveries = 0;
+    part.lost = 0;
+    part.dropped = 0;
+    part.drained = 0;
+    part.appended = 0;
+    // Sequential merge: parts cover contiguous rank ranges and each part
     // buffers in rank order, so this concatenation IS the canonical (sender
-    // rank, send order) sequence — the same sequence for every shard count.
-    for (const PendingSend& send : lane.outbox) dispatch_send(send);
-    lane.outbox.clear();
-    for (const EngineLane::TimerArm& arm : lane.timer_arms)
+    // rank, send order) sequence — the same sequence for every part count.
+    for (const PendingSend& send : part.outbox) dispatch_send(send);
+    part.outbox.clear();
+    for (const EnginePart::TimerArm& arm : part.timer_arms)
       schedule_timer(arm.id, arm.delay, arm.tag);
-    lane.timer_arms.clear();
+    part.timer_arms.clear();
   }
 }
 
@@ -379,8 +388,8 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
     return;
   }
   const std::size_t lanes = effective_lanes(n);
-  if (lanes_.size() < lanes) lanes_.resize(lanes);
-  if (arrivals_.size() < slots_.size()) arrivals_.resize(slots_.size());
+  const std::size_t parts = lanes > 1 ? std::min(n, lanes * kPartsPerLane) : 1;
+  if (parts_.size() < parts) parts_.resize(parts);
   const bool delayed = config_.scheduler == SchedulerKind::kDelayedRandom;
   // The destination merge needs every send's fate to depend only on its
   // sender; the injector's held/replay state and the send hooks are shared
@@ -392,48 +401,36 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
   // its rank) is what the send already holds.
   const util::ChunkBounds split(slots_.size(), lanes);
   if (by_destination)
-    for (std::size_t lane = 0; lane < lanes; ++lane) lanes_[lane].routed.resize(lanes);
+    for (std::size_t part = 0; part < parts; ++part) parts_[part].routed.resize(lanes);
   const auto append_all = [&] {
     if (!by_destination) return;
     util::parallel_for_chunked(
         lanes, lanes, [&](std::size_t dest, std::size_t, std::size_t) {
-          append_routed(lanes, dest);
+          append_routed(parts, dest);
         });
   };
 
-  // Phase A0: snapshot every channel *before* any delivery, so that messages
-  // sent while processing this round's arrivals are delivered next round
-  // (true synchronous semantics).  Each receiver drains with its own stream,
-  // so the per-channel arrival order is independent of the lane partition —
-  // and of which thread ran it.
+  // Phase A: every node receives everything that was pending at round start.
+  // A node's channel is drained (the snapshot) right before its deliveries:
+  // sends buffer in the part until the barrier, so no channel grows during
+  // the phase and messages sent now are delivered next round (true
+  // synchronous semantics).  The drain shuffle and the receive actions draw
+  // from the receiver's own stream, so arrival order and protocol flips are
+  // independent of the partition — and of which thread ran it.
   util::parallel_for_chunked(
-      n, lanes, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        EngineLane& out = lanes_[lane];
+      n, parts, lanes, [&](std::size_t part, std::size_t begin, std::size_t end) {
+        EnginePart& out = parts_[part];
         for (std::size_t rank = begin; rank < end; ++rank) {
           const std::size_t slot_index = order_[rank];
           Slot& slot = slots_[slot_index];
+          std::vector<Message>& messages = out.arrivals;
           const std::size_t before = slot.channel.size();
           if (delayed) {
-            slot.channel.drain_sample(arrivals_[slot_index],
-                                      config_.delivery_probability, slot.rng);
+            slot.channel.drain_sample(messages, config_.delivery_probability, slot.rng);
           } else {
-            slot.channel.drain(arrivals_[slot_index], order, slot.rng);
+            slot.channel.drain(messages, order, slot.rng);
           }
           out.drained += before - slot.channel.size();
-        }
-      });
-  merge_lanes(lanes);
-
-  // Phase A: every node receives everything that was pending at round start.
-  // Receive actions only touch the receiver's own state and stream; their
-  // sends buffer in the lane outbox until the barrier.
-  util::parallel_for_chunked(
-      n, lanes, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        EngineLane& out = lanes_[lane];
-        for (std::size_t rank = begin; rank < end; ++rank) {
-          const std::size_t slot_index = order_[rank];
-          Slot& slot = slots_[slot_index];
-          std::vector<Message>& messages = arrivals_[slot_index];
           for (const Message& message : messages)
             deliver_buffered(slot, slot_index, message, out);
           messages.clear();
@@ -441,12 +438,12 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
         }
       });
   append_all();
-  merge_lanes(lanes);
+  merge_parts(parts);
 
   // Phase B: every node executes its (always enabled) regular action.
   util::parallel_for_chunked(
-      n, lanes, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        EngineLane& out = lanes_[lane];
+      n, parts, lanes, [&](std::size_t part, std::size_t begin, std::size_t end) {
+        EnginePart& out = parts_[part];
         for (std::size_t rank = begin; rank < end; ++rank) {
           const std::size_t slot_index = order_[rank];
           Slot& slot = slots_[slot_index];
@@ -457,7 +454,7 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
         }
       });
   append_all();
-  merge_lanes(lanes);
+  merge_parts(parts);
   finish_round();
 }
 

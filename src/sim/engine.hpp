@@ -11,19 +11,21 @@
 //     loss/fault fate of that process's sends all come from its stream;
 //   * the engine stream (rng()) belongs to the scheduler alone (the
 //     random-async action picks);
-//   * synchronous-family rounds split each phase over `shards` contiguous
-//     rank ranges.  Worker lanes buffer their side effects (sends, timer
-//     arms, counter deltas); every channel then receives its messages in
+//   * synchronous-family rounds split each phase into contiguous rank
+//     ranges, the parts, run by `shards` worker lanes (each lane owns a
+//     block of parts and takes unstarted parts off slower lanes when it is
+//     done).  Each part buffers its side effects (sends, timer arms,
+//     counter deltas); every channel then receives its messages in
 //     canonical (sender rank, send order), which contiguous partitioning
-//     makes the same sequence for every shard count, so trajectories are
+//     makes the same sequence for every part count, so trajectories are
 //     bit-identical across shards ∈ {1, 2, …}.  Without a fault injector or
-//     send hook, each lane draws its senders' loss fates right after their
+//     send hook, each part draws its senders' loss fates right after their
 //     actions and buckets the survivors by the lane that owns their
 //     destination channel (contiguous slot ranges), and each lane then
-//     appends the buckets for its channels in source-lane order — the
+//     appends the buckets for its channels in source-part order — the
 //     destination merge, in parallel.  With either one present, their
 //     shared ordered state forces the sequential merge at the barrier.
-//     Timer arms are always applied sequentially, in lane order.
+//     Timer arms are always applied sequentially, in part order.
 #pragma once
 
 #include <array>
@@ -63,7 +65,7 @@ struct PendingSend {
   Id to;
   Message message;
 };
-// Lane outboxes hold a phase's sends; 32-bit slots keep them this small.
+// Part outboxes hold a phase's sends; 32-bit slots keep them this small.
 static_assert(sizeof(PendingSend) == 48);
 
 /// Engine-internal: a send that survived its loss draw, bucketed for the lane
@@ -73,9 +75,11 @@ struct RoutedSend {
   Message message;
 };
 
-/// Engine-internal: one shard lane's buffered side effects for the current
-/// phase.  Cache-line aligned: lanes bump their tallies on every action.
-struct alignas(64) EngineLane {
+/// Engine-internal: one part's buffered side effects for the current phase
+/// (a part is a contiguous rank range; see the determinism model).  In the
+/// destination merge, part d < lanes also tallies what lane d appended.
+/// Cache-line aligned: parts bump their tallies on every action.
+struct alignas(64) EnginePart {
   struct TimerArm {
     Id id;
     std::uint32_t delay;
@@ -88,13 +92,17 @@ struct alignas(64) EngineLane {
   /// (sender rank, send order).
   std::vector<std::vector<RoutedSend>> routed;
   std::vector<TimerArm> timer_arms;
+  /// The snapshot of the channel being delivered (Channel::drain swaps it
+  /// with the channel's buffer, so buffers rotate instead of each node
+  /// keeping a second one).
+  std::vector<Message> arrivals;
   std::array<std::uint64_t, kMaxMessageTypes> sent_by_type{};  ///< routed sends
   std::uint64_t actions = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t lost = 0;       ///< routed sends eaten by the loss model
   std::uint64_t dropped = 0;    ///< routed sends to unknown identifiers
   std::size_t drained = 0;      ///< messages taken out of channels this phase
-  std::size_t appended = 0;     ///< messages this lane appended to channels
+  std::size_t appended = 0;     ///< destination merge: see above
 };
 
 /// The face of the engine a process sees while executing one atomic action.
@@ -123,18 +131,18 @@ class Context {
  private:
   friend class Engine;
   Context(Engine& engine, Id self, util::Rng* rng, std::size_t from_slot,
-          EngineLane* lane) noexcept
+          EnginePart* part) noexcept
       : engine_(engine),
         self_(self),
         rng_(rng),
         from_slot_(static_cast<std::uint32_t>(from_slot)),
-        lane_(lane) {}
+        part_(part) {}
   Engine& engine_;
   Id self_;  ///< the acting process (the fault layer's partition filter
              ///< needs the sender, which a Message does not carry)
   util::Rng* rng_;           ///< the acting process's slot stream
   std::uint32_t from_slot_;  ///< the acting process's slot index
-  EngineLane* lane_;         ///< non-null inside a parallel phase: buffer here
+  EnginePart* part_;         ///< non-null inside a parallel phase: buffer here
 };
 
 /// Cheap protocol tag: hot inspection paths (invariant predicates, views,
@@ -367,7 +375,7 @@ class Engine {
   };
 
   /// Cached metric handles (registry-owned); all null when detached, so the
-  /// hot paths pay one branch.  Lanes never touch them: merge_lanes adds
+  /// hot paths pay one branch.  Parts never touch them: merge_parts adds
   /// each lane's tallies in bulk.
   struct Metrics {
     obs::Counter* rounds = nullptr;
@@ -390,28 +398,28 @@ class Engine {
   /// from sequential contexts and from the sequential merge for buffered
   /// sends — same code, same stream, same order either way.  The registry's
   /// engine.messages.sent is counted by the caller: per send in
-  /// Context::send, per lane in merge_lanes.
+  /// Context::send, per part in merge_parts.
   void dispatch_send(const PendingSend& send);
-  /// Destination merge, in the lane, after each sender's actions: draws the
+  /// Destination merge, in the part, after each sender's actions: draws the
   /// loss fates of the sender's buffered sends and buckets the survivors.
-  void route_outbox(Slot& sender, EngineLane& lane, const util::ChunkBounds& split);
-  /// Destination merge: lane `dest` appends every source lane's bucket for
-  /// it to its own channels, in source-lane order.
-  void append_routed(std::size_t lanes, std::size_t dest);
+  void route_outbox(Slot& sender, EnginePart& part, const util::ChunkBounds& split);
+  /// Destination merge: lane `dest` appends every source part's bucket for
+  /// it to its own channels, in source-part order.
+  void append_routed(std::size_t parts, std::size_t dest);
   void enqueue_or_drop(std::uint32_t to_slot, const Message& message);
   void release_due_messages();
   void fire_due_timers();
   /// Sequential delivery (async scheduler, deliver_pending_once).
   void deliver(Slot& slot, std::size_t slot_index, const Message& message);
-  /// Lane delivery: counters and sends buffer into `lane`.
+  /// Buffered delivery: counters and sends buffer into `part`.
   void deliver_buffered(Slot& slot, std::size_t slot_index,
-                        const Message& message, EngineLane& lane);
+                        const Message& message, EnginePart& part);
   void run_synchronous_round(ReceiptOrder order);
   void run_async_round();
   void finish_round();
-  /// Applies every lane's buffered effects in lane order (sequential): the
+  /// Applies every part's buffered effects in part order (sequential): the
   /// tallies, the timer arms, and — on the sequential-merge path — the sends.
-  void merge_lanes(std::size_t lanes);
+  void merge_parts(std::size_t parts);
   /// Lanes for a round over `n` processes: config shards, capped by n.
   std::size_t effective_lanes(std::size_t n) const noexcept;
   /// Lazily rebuilds the pending-by-rank Fenwick index (async scheduler
@@ -454,13 +462,13 @@ class Engine {
   bool fenwick_dirty_ = true;
   std::size_t pending_total_ = 0;  // sum of all channel sizes, kept in step
   std::vector<std::int64_t> rank_counts_;  // rebuild scratch, reused
-  std::vector<EngineLane> lanes_;  // per-shard buffers, reused across rounds
+  std::vector<EnginePart> parts_;  // per-part buffers, reused across rounds
   EngineCounters counters_;
   Metrics metrics_;
   HookId next_hook_id_ = 1;
   std::vector<std::pair<HookId, SendHook>> send_hooks_;
   std::vector<std::pair<HookId, RoundHook>> round_hooks_;
-  std::vector<std::vector<Message>> arrivals_;  // per-slot round snapshots
+  std::vector<std::vector<Message>> arrivals_;  // deliver_pending_once snapshots
   struct Timer {
     Id id;
     std::uint64_t tag;
@@ -480,8 +488,8 @@ class Engine {
 
 inline void Context::send(Id to, const Message& message) {
   const PendingSend send{from_slot_, engine_.index_.find(to), to, message};
-  if (lane_ != nullptr) {
-    lane_->outbox.push_back(send);
+  if (part_ != nullptr) {
+    part_->outbox.push_back(send);
     return;
   }
   if (engine_.metrics_.sent) engine_.metrics_.sent->add();
@@ -495,8 +503,8 @@ inline std::uint64_t Context::round() const noexcept {
 }
 
 inline void Context::schedule_timer(std::uint32_t delay, std::uint64_t tag) {
-  if (lane_ != nullptr) {
-    lane_->timer_arms.push_back(EngineLane::TimerArm{self_, delay, tag});
+  if (part_ != nullptr) {
+    part_->timer_arms.push_back(EnginePart::TimerArm{self_, delay, tag});
     return;
   }
   engine_.schedule_timer(self_, delay, tag);

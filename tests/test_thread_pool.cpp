@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sssw::util {
@@ -115,6 +116,82 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   });
   for (std::size_t i = 0; i < 500; ++i)
     EXPECT_EQ(results[i], static_cast<long>(i * (i + 1) / 2));
+}
+
+TEST(RunParts, RunsEveryPartExactlyOnce) {
+  ThreadPool pool(3);
+  for (std::size_t parts = 1; parts <= 9; ++parts) {
+    for (std::size_t threads = 1; threads <= 5; ++threads) {
+      std::vector<std::atomic<int>> hits(parts);
+      pool.run_parts(parts, threads, [&](std::size_t p) { ++hits[p]; });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << parts << "/" << threads;
+    }
+  }
+}
+
+TEST(RunParts, OneThreadRunsEveryPartInOrderOnTheCaller) {
+  ThreadPool pool(2);
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.run_parts(6, 1, [&](std::size_t p) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(p);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(RunParts, RethrowsAfterEveryPartRan) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(5);
+  EXPECT_THROW(pool.run_parts(5, 3,
+                              [&](std::size_t p) {
+                                ++hits[p];
+                                if (p == 2) throw std::runtime_error("boom");
+                              }),
+               std::runtime_error);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RunParts, CallerTakesTheBlockOfABusyWorker) {
+  // The only worker is held by another task, so the caller must run the
+  // worker's block itself rather than wait for it.
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  auto blocker = pool.submit([&] {
+    started = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::vector<std::thread::id> ran(8);
+  pool.run_parts(8, 2, [&](std::size_t p) { ran[p] = std::this_thread::get_id(); });
+  for (const auto& id : ran) EXPECT_EQ(id, std::this_thread::get_id());
+  release = true;
+  blocker.get();
+}
+
+TEST(RunParts, CompletesFromInsidePoolTasksThatOccupyEveryWorker) {
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::atomic<int> total{0};
+  std::vector<std::future<void>> outer;
+  for (int t = 0; t < 2; ++t) {
+    outer.push_back(pool.submit([&] {
+      ++started;
+      while (started.load() < 2) std::this_thread::yield();
+      pool.run_parts(8, 4, [&](std::size_t) { ++total; });
+    }));
+  }
+  for (auto& f : outer) f.get();
+  EXPECT_EQ(total.load(), 16);
+}
+
+TEST(RunParts, BackToBackCallsStayCorrect) {
+  ThreadPool pool(4);
+  std::vector<long> sums(16, 0);
+  for (int rep = 0; rep < 2000; ++rep)
+    pool.run_parts(16, 4, [&](std::size_t p) { sums[p] += static_cast<long>(p) + 1; });
+  for (std::size_t p = 0; p < 16; ++p) EXPECT_EQ(sums[p], 2000 * static_cast<long>(p + 1));
 }
 
 TEST(ChunkBounds, ChunkOfInvertsTheSplitThatParallelForChunkedRuns) {
